@@ -16,7 +16,7 @@ A differential harness first proves every loop kernel RT-simulates
 observably equal to its unrolled counterpart at the documented trip count,
 so a measured win can never be bought with a wrong answer.
 
-A second comparison pits the *global* optimizer (rotation, LICM, GVN,
+A second comparison pits the *global* optimizer (rotation, LICM, CSE,
 hardware loops -- the default pipeline) against the block-local
 fold/cse/dce baseline on the same loop kernels, asserting the global
 form is strictly smaller across the suite (rotation alone removes one

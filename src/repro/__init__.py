@@ -44,9 +44,8 @@ experiments:
 * :mod:`repro.opt` -- the pre-selection IR optimizer (expression DAGs,
   constant folding, cross-statement CSE, dead-temporary elimination), run
   by default as the ``opt`` pass ahead of selection;
-* :mod:`repro.record` -- the retargeting driver plus the legacy
-  ``retarget()`` / ``RecordCompiler`` API (now thin shims over
-  :mod:`repro.toolchain`; see ``docs/API.md`` for migration notes);
+* :mod:`repro.record` -- the retargeting driver (``retarget()``) and its
+  textual reports;
 * :mod:`repro.targets`, :mod:`repro.dspstone`, :mod:`repro.baselines`,
   :mod:`repro.sim` -- the six built-in processor models, the DSPStone
   kernels, the experiment baselines and the RT-level simulator.
@@ -61,7 +60,6 @@ from repro.diagnostics import (
     SourceLocation,
     TargetError,
 )
-from repro.record.compiler import CompiledProgram, CompilerOptions, RecordCompiler
 from repro.record.retarget import RetargetResult, retarget
 from repro.targets.library import all_target_names, get_target, target_hdl_source
 from repro.dspstone.kernels import all_kernel_names, get_kernel, kernel_program
@@ -92,15 +90,12 @@ __all__ = [
     "CompileRequest",
     "CompileResponse",
     "CompileService",
-    "CompiledProgram",
-    "CompilerOptions",
     "Diagnostic",
     "InternalCompilerError",
     "KernelError",
     "OptPipeline",
     "OptStats",
     "PipelineConfig",
-    "RecordCompiler",
     "ReproError",
     "ResourceLimitError",
     "RetargetCache",

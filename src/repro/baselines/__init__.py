@@ -14,7 +14,7 @@ we substitute:
   LAC/LT/MPY/APAC/SACL coding patterns for the documented workload sizes.
 """
 
-from repro.baselines.naive import GreedyMaximalMunch, conventional_compiler, conventional_options
+from repro.baselines.naive import GreedyMaximalMunch, conventional_compiler
 from repro.baselines.reference import (
     hand_reference_size,
     hand_reference_table,
@@ -24,7 +24,6 @@ from repro.baselines.reference import (
 __all__ = [
     "GreedyMaximalMunch",
     "conventional_compiler",
-    "conventional_options",
     "hand_reference_size",
     "has_hand_reference_size",
     "hand_reference_table",

@@ -16,7 +16,7 @@ Usage (also available as ``python -m repro ...``)::
     python -m repro lint-target tms320c25        # grammar/matcher lints
     python -m repro compile tms320c25 --kernel fir_loop  # loop kernel -> labelled CFG
     python -m repro opt prog.c                   # IR optimizer before/after
-    python -m repro opt --kernel fir --stages fold,cse
+    python -m repro opt --kernel fir --stages fold,cse   # subset of the default stages
     python -m repro fuzz                         # differential fuzz campaign
     python -m repro fuzz --seed 7 --budget 500 --targets ref --oracle sim,opt
     python -m repro batch jobs.jsonl             # concurrent batch service
@@ -49,6 +49,7 @@ from repro.baselines import hand_reference_size, has_hand_reference_size
 from repro.diagnostics import InternalCompilerError, ReproError, error_report
 from repro.dspstone import all_kernel_names, get_kernel, kernel_program, loop_kernel_names
 from repro.grammar import grammar_to_bnf
+from repro.opt import OptPipeline, copy_program
 from repro.record.report import (
     compilation_report,
     format_processor_class_report,
@@ -219,7 +220,6 @@ def _cmd_compile(args) -> int:
 def _cmd_opt(args) -> int:
     """Run the (target-independent) IR optimizer and print before/after."""
     from repro.frontend.lowering import lower_to_program
-    from repro.opt import OptPipeline, copy_program
 
     if args.kernel:
         program = kernel_program(args.kernel)
@@ -314,9 +314,9 @@ def _cmd_opt(args) -> int:
           "%d temp(s) introduced, %d dead temp(s) removed" % (
               stats.folds, stats.algebraic, stats.cse_hits,
               stats.temps_introduced, stats.dead_removed))
-    print("global: %d gvn hit(s), %d loop(s) rotated, %d licm hoist(s), "
+    print("global: %d loop(s) rotated, %d licm hoist(s), "
           "%d strength reduction(s), %d hardware loop(s)" % (
-              stats.gvn_hits, stats.loops_rotated, stats.licm_hoisted,
+              stats.loops_rotated, stats.licm_hoisted,
               stats.strength_reductions, stats.hw_loops))
     for rule in sorted(stats.rewrites):
         print("    %-18s %4d" % (rule, stats.rewrites[rule]))
@@ -695,18 +695,20 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("target", help="registered target name or HDL file path")
     _add_cache_flags(lint_parser)
 
+    default_stages = ",".join(OptPipeline.DEFAULT_STAGES)
     opt_parser = subparsers.add_parser(
         "opt",
-        help="run the IR optimizer on a program and print before/after",
-        description="Target-independent view of the repro.opt pipeline: "
-        "constant folding, algebraic rewriting, cross-statement CSE and "
-        "dead-temporary elimination, with per-rewrite statistics.",
+        help="run the IR optimizer (%s) on a program and print before/after"
+        % default_stages,
+        description="Target-independent view of the repro.opt pipeline "
+        "(stages %s), with per-stage changes and per-rewrite statistics."
+        % default_stages,
     )
     opt_parser.add_argument("source", nargs="?", help="source file in the C-like input language")
     opt_parser.add_argument("--kernel", help="optimize a named DSPStone kernel instead of a file")
     opt_parser.add_argument(
         "--stages", metavar="LIST",
-        help="comma-separated stage subset (default: fold,cse,dce)",
+        help="comma-separated stage subset (default: %s)" % default_stages,
     )
 
     batch_parser = subparsers.add_parser(

@@ -31,7 +31,6 @@ from repro.opt.cse import (
 from repro.opt.dag import (
     DAGNode,
     ExprDAG,
-    GlobalProgramDAG,
     ProgramDAG,
     build_block_dag,
 )
@@ -42,7 +41,6 @@ from repro.opt.fold import (
     fold_statement,
     structurally_equal,
 )
-from repro.opt.gvn import global_value_numbering
 from repro.opt.licm import LICM_TEMP_PREFIX, hoist_loop_invariants
 from repro.opt.loops import (
     SR_TEMP_PREFIX,
@@ -65,7 +63,6 @@ __all__ = [
     "DAGNode",
     "ExprDAG",
     "FOLD_RULES",
-    "GlobalProgramDAG",
     "LICM_TEMP_PREFIX",
     "MIN_OCCURRENCES",
     "MIN_OPS",
@@ -85,7 +82,6 @@ __all__ = [
     "find_counted_loops",
     "fold_expr",
     "fold_statement",
-    "global_value_numbering",
     "hoist_loop_invariants",
     "is_temp",
     "optimize_program",

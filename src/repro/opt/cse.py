@@ -44,7 +44,7 @@ from repro.opt.dag import (
 TEMP_PREFIX = "__cse"
 
 #: Every prefix any optimizer stage materializes temporaries under:
-#: CSE/GVN (``__cse``), loop-invariant code motion (``__licm``) and
+#: CSE (``__cse``), loop-invariant code motion (``__licm``) and
 #: strength reduction (``__sr``).  Observability filters (the fuzz
 #: oracles, the differential suites, the pipeline verifier) treat all
 #: three as compiler-internal names.

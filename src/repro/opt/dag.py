@@ -174,34 +174,6 @@ class ProgramDAG:
     def store_epoch_of(self, array: str) -> int:
         return self._store_epochs.get(array, 0)
 
-    # Version bumping is factored into three overridable hooks so the
-    # dominator-scoped :class:`GlobalProgramDAG` can draw every bump from
-    # one monotone serial (restored snapshots must never collide with
-    # later kills).
-    def _bump_version(self, name: str) -> None:
-        self._versions[name] = self._versions.get(name, 0) + 1
-
-    def _bump_dynamic_epoch(self, array: str) -> None:
-        self._dynamic_epochs[array] = self.dynamic_epoch_of(array) + 1
-
-    def _bump_store_epoch(self, array: str) -> None:
-        self._store_epochs[array] = self.store_epoch_of(array) + 1
-
-    def kill_statement_effects(self, statement: Statement) -> None:
-        """Apply exactly the version/epoch effects executing ``statement``
-        would have, without interning anything.  The global value
-        numberer uses this to invalidate values across CFG paths that may
-        re-execute a block."""
-        destination = statement.destination
-        self._bump_version(destination)
-        if statement.destination_index is not None:
-            self._bump_dynamic_epoch(destination)
-            self._bump_store_epoch(destination)
-        else:
-            array = self._array_of(destination)
-            if array is not None:
-                self._bump_store_epoch(array)
-
     def add_statement(self, statement: Statement) -> int:
         if statement.destination_index is not None:
             # The index expression is read by the store; intern it so its
@@ -210,7 +182,15 @@ class ProgramDAG:
         root = self.intern_expr(statement.expression)
         self.dag.uses[root] += 1  # statement-root occurrence
         self.roots.append(root)
-        self.kill_statement_effects(statement)
+        destination = statement.destination
+        self._versions[destination] = self.version_of(destination) + 1
+        if statement.destination_index is not None:
+            self._dynamic_epochs[destination] = self.dynamic_epoch_of(destination) + 1
+            self._store_epochs[destination] = self.store_epoch_of(destination) + 1
+        else:
+            array = self._array_of(destination)
+            if array is not None:
+                self._store_epochs[array] = self.store_epoch_of(array) + 1
         return root
 
     def intern_expr(self, expr: IRNode) -> int:
@@ -259,53 +239,6 @@ class ProgramDAG:
             for operand in reversed(node.operands):
                 stack.append((operand, False))
         return results[0]
-
-
-class GlobalProgramDAG(ProgramDAG):
-    """A :class:`ProgramDAG` whose version state can be snapshotted,
-    restored and *killed*, for dominator-tree-scoped value numbering
-    across a whole CFG (:mod:`repro.opt.gvn`).
-
-    Every bump draws a fresh value from one monotone serial shared by
-    definitions and kills.  Plain ``+1`` bumping would be unsound here:
-    after restoring a snapshot (DFS backtrack), a later ``+1`` in a
-    sibling subtree could reproduce a version number already interned
-    under a *different* reaching definition, silently merging distinct
-    values.  Globally unique serials make every (name, version) pair
-    identify one reaching state forever.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._serial = 0
-
-    def _next_serial(self) -> int:
-        self._serial += 1
-        return self._serial
-
-    def _bump_version(self, name: str) -> None:
-        self._versions[name] = self._next_serial()
-
-    def _bump_dynamic_epoch(self, array: str) -> None:
-        self._dynamic_epochs[array] = self._next_serial()
-
-    def _bump_store_epoch(self, array: str) -> None:
-        self._store_epochs[array] = self._next_serial()
-
-    def snapshot(self) -> tuple:
-        """The current version state (the interned nodes are *not* part
-        of the snapshot -- the pool only ever grows)."""
-        return (
-            dict(self._versions),
-            dict(self._dynamic_epochs),
-            dict(self._store_epochs),
-        )
-
-    def restore(self, state: tuple) -> None:
-        versions, dynamic_epochs, store_epochs = state
-        self._versions = dict(versions)
-        self._dynamic_epochs = dict(dynamic_epochs)
-        self._store_epochs = dict(store_epochs)
 
 
 def build_block_dag(block: BasicBlock) -> ProgramDAG:

@@ -4,13 +4,11 @@ An :class:`OptPipeline` runs an ordered subset of the optimization
 stages -- ``fold`` (constant folding / algebraic simplification),
 ``loops`` (counted-loop rotation and strength reduction,
 :mod:`repro.opt.loops`), ``licm`` (loop-invariant code motion,
-:mod:`repro.opt.licm`), ``gvn`` (dominator-ordered global CSE,
-:mod:`repro.opt.gvn`), ``cse`` (the historical block-local CSE) and
-``dce`` (dead-temporary elimination) -- over an IR
-:class:`~repro.ir.Program` and returns a *fresh* optimized program plus
-an :class:`OptStats` record.  The default stage list runs the global
-optimizer (``gvn`` subsumes ``cse``; ``cse`` remains selectable for
-block-local comparisons).
+:mod:`repro.opt.licm`), ``cse`` (block-local common-subexpression
+elimination, :mod:`repro.opt.cse`) and ``dce`` (dead-temporary
+elimination) -- over an IR :class:`~repro.ir.Program` and returns a
+*fresh* optimized program plus an :class:`OptStats` record.  The default
+stage list runs all of them.
 
 After a run that included the ``loops`` stage, counted single-block
 self-loops of the result carry :class:`~repro.ir.program.HardwareLoop`
@@ -57,8 +55,7 @@ class OptStats:
     ``rewrites`` maps individual rewrite-rule names (``"const-fold"``,
     ``"add-zero"``, ``"mul-pow2-shl"``, ...) to fire counts; ``folds`` and
     ``algebraic`` are its constant/algebraic split.  ``cse_hits`` counts
-    expression occurrences rewritten to read a temporary by the
-    block-local eliminator (``gvn_hits`` is the cross-block analogue);
+    expression occurrences rewritten to read a temporary;
     ``temps_introduced``/``dead_removed`` count temporaries created and
     dead ones eliminated again.  The loop block: ``loops_rotated``
     (while-form loops rewritten into do-while form), ``licm_hoisted``
@@ -74,7 +71,6 @@ class OptStats:
     folds: int = 0
     algebraic: int = 0
     cse_hits: int = 0
-    gvn_hits: int = 0
     licm_hoisted: int = 0
     strength_reductions: int = 0
     loops_rotated: int = 0
@@ -103,7 +99,6 @@ class OptStats:
             "folds": self.folds,
             "algebraic": self.algebraic,
             "cse_hits": self.cse_hits,
-            "gvn_hits": self.gvn_hits,
             "licm_hoisted": self.licm_hoisted,
             "strength_reductions": self.strength_reductions,
             "loops_rotated": self.loops_rotated,
@@ -123,7 +118,6 @@ class OptStats:
             folds=data.get("folds", 0),
             algebraic=data.get("algebraic", 0),
             cse_hits=data.get("cse_hits", 0),
-            gvn_hits=data.get("gvn_hits", 0),
             licm_hoisted=data.get("licm_hoisted", 0),
             strength_reductions=data.get("strength_reductions", 0),
             loops_rotated=data.get("loops_rotated", 0),
@@ -201,20 +195,17 @@ def _fold_terminator(terminator, rewrites=None):
 #: Stages that materialize compiler temporaries.  When any of them is in
 #: a run's stage list, ``dce`` removes exactly the temporaries that run
 #: introduced (never a user variable that shares a prefix).
-_MATERIALIZING_STAGES = ("loops", "licm", "gvn", "cse")
+_MATERIALIZING_STAGES = ("loops", "licm", "cse")
 
 
 class OptPipeline:
     """An ordered, configurable sequence of optimization stages."""
 
     #: All known stages, in canonical order.
-    STAGES: Tuple[str, ...] = ("fold", "loops", "licm", "gvn", "cse", "dce")
+    STAGES: Tuple[str, ...] = ("fold", "loops", "licm", "cse", "dce")
 
-    #: The default run: the global optimizer.  ``cse`` is omitted --
-    #: ``gvn`` performs the identical rewrite block-locally and extends
-    #: it across the CFG -- but stays selectable for block-local
-    #: comparisons (``--stages fold,cse,dce``).
-    DEFAULT_STAGES: Tuple[str, ...] = ("fold", "loops", "licm", "gvn", "dce")
+    #: The default run: every stage.
+    DEFAULT_STAGES: Tuple[str, ...] = STAGES
 
     def __init__(
         self,
@@ -248,7 +239,6 @@ class OptPipeline:
         program)`` after each stage with the stage's result -- the CLI's
         per-stage diff rendering hook.  Observers must not mutate the
         program they are shown."""
-        from repro.opt.gvn import global_value_numbering
         from repro.opt.licm import hoist_loop_invariants
         from repro.opt.loops import (
             annotate_hardware_loops,
@@ -267,7 +257,6 @@ class OptPipeline:
             "loops_rotated": 0,
             "strength_reductions": 0,
             "licm_hoisted": 0,
-            "gvn_hits": 0,
         }
         current = program
         produced_fresh = False
@@ -312,23 +301,6 @@ class OptPipeline:
                 current = copy_program(current)
                 introduced_temps |= hoist_loop_invariants(current, counters)
                 produced_fresh = True
-            elif stage == "gvn":
-                gvn_counters: Dict[str, int] = {
-                    "cse_hits": 0,
-                    "temps_introduced": 0,
-                }
-                scalars_before = set(current.scalars)
-                current = global_value_numbering(
-                    current,
-                    min_occurrences=self.min_cse_occurrences,
-                    min_ops=self.min_cse_ops,
-                    temp_prefix=self.temp_prefix,
-                    counters=gvn_counters,
-                )
-                counters["gvn_hits"] += gvn_counters["cse_hits"]
-                counters["temps_introduced"] += gvn_counters["temps_introduced"]
-                introduced_temps |= set(current.scalars) - scalars_before
-                produced_fresh = True
             elif stage == "cse":
                 scalars_before = set(current.scalars)
                 current = eliminate_common_subexpressions(
@@ -365,7 +337,6 @@ class OptPipeline:
             stats.hw_loops = len(current.hw_loops)
         stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
         stats.cse_hits = counters["cse_hits"]
-        stats.gvn_hits = counters["gvn_hits"]
         stats.licm_hoisted = counters["licm_hoisted"]
         stats.strength_reductions = counters["strength_reductions"]
         stats.loops_rotated = counters["loops_rotated"]

@@ -37,9 +37,9 @@ def compilation_report(result) -> str:
                      % (metrics.opt_nodes_before, metrics.opt_nodes_after,
                         metrics.opt_folds, metrics.opt_cse_hits,
                         metrics.opt_temps))
-        lines.append("global opt:       %5d gvn hit(s), %d licm hoist(s), "
+        lines.append("global opt:       %5d licm hoist(s), "
                      "%d strength reduction(s), %d hardware loop(s)"
-                     % (metrics.opt_gvn_hits, metrics.opt_licm_hoisted,
+                     % (metrics.opt_licm_hoisted,
                         metrics.opt_strength_reductions, metrics.opt_hw_loops))
     lines.append("labeller:         %5d node state(s), memo hit rate %.1f%% "
                  "(tables built in %.6f s)"

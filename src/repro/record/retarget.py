@@ -93,7 +93,7 @@ class RetargetResult:
 
     # The generated matcher is a ``types.ModuleType`` and cannot be
     # pickled; the retarget cache regenerates it from the grammar on load.
-    # Per-result selector caches (see ``repro.record.compiler``) are
+    # Per-result selector caches (see ``repro.toolchain.selectors``) are
     # likewise rebuilt on demand rather than serialized.
     def __getstate__(self):
         state = {

@@ -28,8 +28,8 @@ Exported families (all prefixed ``repro_``):
 * ``repro_label_memo_hit_rate`` -- node-weighted labelling-memo hit
   rate aggregated from ``CompileMetrics``;
 * ``repro_global_opt_total{target=,kind=}`` -- cumulative global
-  optimizer activity per target (``kind`` is ``gvn_hits``,
-  ``licm_hoisted``, ``strength_reductions`` or ``hw_loops``);
+  optimizer activity per target (``kind`` is ``licm_hoisted``,
+  ``strength_reductions`` or ``hw_loops``);
 * ``repro_retarget_cache_*`` / ``repro_session_pool_*`` /
   ``repro_worker_*`` -- backend snapshot gauges taken at scrape time
   from :meth:`CompileBackend.stats`, including per-worker
@@ -116,7 +116,7 @@ class ServerMetrics:
         self._global_opt = self.registry.counter(
             "repro_global_opt_total",
             "Global optimizer activity by target "
-            "(gvn_hits, licm_hoisted, strength_reductions, hw_loops).",
+            "(licm_hoisted, strength_reductions, hw_loops).",
             labels=("target", "kind"),
         )
 
@@ -153,7 +153,6 @@ class ServerMetrics:
                 float(seconds)
             )
         for kind, key in (
-            ("gvn_hits", "opt_gvn_hits"),
             ("licm_hoisted", "opt_licm_hoisted"),
             ("strength_reductions", "opt_strength_reductions"),
             ("hw_loops", "opt_hw_loops"),

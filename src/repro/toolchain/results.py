@@ -21,8 +21,6 @@ view survives the round trip, but the live artifacts do not (they are
 process-local objects); accessing them raises
 :class:`~repro.diagnostics.ResultError`.
 
-The legacy :class:`repro.record.compiler.CompiledProgram` is a deprecated
-shim subclass of :class:`CompilationResult`.
 """
 
 from __future__ import annotations
@@ -60,12 +58,12 @@ class CompileMetrics:
     optimization pass that ran ahead of selection: IR node counts in/out,
     rewrites applied (constant folds plus algebraic simplifications), CSE
     occurrences served from a temporary, and temporaries materialized.
-    The global-optimizer block (``opt_gvn_hits``, ``opt_licm_hoisted``,
-    ``opt_strength_reductions``, ``opt_hw_loops``) counts cross-block
-    value-numbering hits, loop-invariant statements/temporaries hoisted
-    into preheaders, strength-reduced multiplication occurrences, and
-    counted loops annotated for hardware-loop codegen.  All zeros when
-    the pipeline was configured with ``use_optimizer=False``.
+    The global-optimizer block (``opt_licm_hoisted``,
+    ``opt_strength_reductions``, ``opt_hw_loops``) counts loop-invariant
+    statements/temporaries hoisted into preheaders, strength-reduced
+    multiplication occurrences, and counted loops annotated for
+    hardware-loop codegen.  All zeros when the pipeline was configured
+    with ``use_optimizer=False``.
     """
 
     code_size: int
@@ -82,7 +80,6 @@ class CompileMetrics:
     opt_folds: int = 0
     opt_cse_hits: int = 0
     opt_temps: int = 0
-    opt_gvn_hits: int = 0
     opt_licm_hoisted: int = 0
     opt_strength_reductions: int = 0
     opt_hw_loops: int = 0
@@ -90,6 +87,11 @@ class CompileMetrics:
     # off); verify time is *not* part of compile_time_s.
     verify_time_s: float = 0.0
     verify_checks: int = 0
+
+    @property
+    def opt_gvn_hits(self) -> int:
+        # Still read by the repository benchmark; nothing counts it now.
+        return 0
 
     def to_dict(self) -> dict:
         return {
@@ -107,7 +109,6 @@ class CompileMetrics:
             "opt_folds": self.opt_folds,
             "opt_cse_hits": self.opt_cse_hits,
             "opt_temps": self.opt_temps,
-            "opt_gvn_hits": self.opt_gvn_hits,
             "opt_licm_hoisted": self.opt_licm_hoisted,
             "opt_strength_reductions": self.opt_strength_reductions,
             "opt_hw_loops": self.opt_hw_loops,
@@ -132,7 +133,6 @@ class CompileMetrics:
             opt_folds=data.get("opt_folds", 0),
             opt_cse_hits=data.get("opt_cse_hits", 0),
             opt_temps=data.get("opt_temps", 0),
-            opt_gvn_hits=data.get("opt_gvn_hits", 0),
             opt_licm_hoisted=data.get("opt_licm_hoisted", 0),
             opt_strength_reductions=data.get("opt_strength_reductions", 0),
             opt_hw_loops=data.get("opt_hw_loops", 0),
@@ -180,8 +180,7 @@ class CompilationResult:
     Construct through :meth:`from_state` (what
     :meth:`repro.toolchain.Session.compile` does) or :meth:`from_dict`
     (deserialization).  Scalar facts live in :attr:`metrics` and are also
-    exposed as flat properties (``code_size``, ``spill_count``, ...) for
-    compatibility with the legacy ``CompiledProgram``.
+    exposed as flat properties (``code_size``, ``spill_count``, ...).
     """
 
     name: str
@@ -197,7 +196,7 @@ class CompilationResult:
         default=(), repr=False, compare=False
     )
     # Per-block view (same StatementCode objects plus branch pseudo-code);
-    # empty on legacy/straight-line construction paths.
+    # empty on straight-line construction paths.
     block_codes: Tuple[BlockCode, ...] = field(default=(), repr=False, compare=False)
     words: Tuple[InstructionWord, ...] = field(default=(), repr=False, compare=False)
     binding: Optional[ResourceBinding] = field(default=None, repr=False, compare=False)
@@ -244,7 +243,6 @@ class CompilationResult:
             opt_folds=(opt_stats.folds + opt_stats.algebraic) if opt_stats else 0,
             opt_cse_hits=opt_stats.cse_hits if opt_stats else 0,
             opt_temps=opt_stats.temps_introduced if opt_stats else 0,
-            opt_gvn_hits=opt_stats.gvn_hits if opt_stats else 0,
             opt_licm_hoisted=opt_stats.licm_hoisted if opt_stats else 0,
             opt_strength_reductions=(
                 opt_stats.strength_reductions if opt_stats else 0
@@ -317,7 +315,7 @@ class CompilationResult:
     VIEWS = ("listing", "encoding", "statements", "metrics", "timings")
 
     def listing(self) -> str:
-        """The instruction-word listing (callable, like the legacy API)."""
+        """The instruction-word listing."""
         if self.stored_listing is not None:
             return self.stored_listing
         return format_listing(
@@ -419,9 +417,7 @@ class CompilationResult:
                 % (schema, RESULT_SCHEMA_VERSION)
             )
         config = data.get("config")
-        # Always rebuild the base class: subclasses (the legacy
-        # CompiledProgram shim) have a different constructor signature.
-        return CompilationResult(
+        return cls(
             name=data["name"],
             processor=data["processor"],
             metrics=CompileMetrics.from_dict(data["metrics"]),

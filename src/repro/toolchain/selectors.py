@@ -1,9 +1,4 @@
-"""Restricted code selectors, memoized per retargeting result.
-
-Historically this lived in :mod:`repro.record.compiler`; it moved here so
-the session layer no longer depends on the legacy compiler module (which
-now builds *on top of* the toolchain).  The legacy module re-exports it.
-"""
+"""Restricted code selectors, memoized per retargeting result."""
 
 from __future__ import annotations
 

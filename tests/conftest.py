@@ -14,9 +14,9 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 
 import pytest
 
-from repro.record.compiler import RecordCompiler
 from repro.record.retarget import retarget
 from repro.targets.library import all_target_names, target_hdl_source
+from repro.toolchain import Session
 
 
 @pytest.fixture(scope="session")
@@ -58,10 +58,10 @@ def fuzz_harnesses(retarget_results):
 
 
 @pytest.fixture(scope="session")
-def tms_compiler(tms_result):
-    return RecordCompiler(tms_result)
+def tms_session(tms_result):
+    return Session(tms_result)
 
 
 @pytest.fixture(scope="session")
-def demo_compiler(demo_result):
-    return RecordCompiler(demo_result)
+def demo_session(demo_result):
+    return Session(demo_result)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.opt import OptPipeline
 
 
 class TestParser:
@@ -16,6 +17,7 @@ class TestParser:
         assert main([]) == 1
         captured = capsys.readouterr()
         assert "usage" in captured.out.lower()
+        assert ",".join(OptPipeline.DEFAULT_STAGES) in captured.out
 
 
 class TestCommands:

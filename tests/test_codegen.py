@@ -167,7 +167,7 @@ class TestSpilling:
 
 
 class TestCompaction:
-    def test_disabled_compaction_is_one_rt_per_word(self, tms_result, tms_compiler):
+    def test_disabled_compaction_is_one_rt_per_word(self, tms_result, tms_session):
         _program, codes = _codes(tms_result, None, "int a, b, c, d; d = c + a * b;")
         instances = [i for code in codes for i in code.instances]
         words = compact(instances, enabled=False)

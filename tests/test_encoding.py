@@ -11,8 +11,8 @@ def encoder(tms_result):
     return InstructionEncoder(tms_result.netlist)
 
 
-def _compiled_words(compiler, source):
-    return compiler.compile_source(source).words
+def _compiled_words(session, source):
+    return session.compile(source).words
 
 
 class TestEncodedWord:
@@ -54,16 +54,16 @@ class TestInstructionEncoder:
         assert opcode("ACC := DMEM") != opcode("TREG := DMEM")
         assert opcode("ACC := add(ACC, DMEM)") != opcode("ACC := sub(ACC, DMEM)")
 
-    def test_encode_program_words(self, tms_compiler, encoder):
-        words = _compiled_words(tms_compiler, "int a, b, c, d; d = c + a * b;")
+    def test_encode_program_words(self, tms_session, encoder):
+        words = _compiled_words(tms_session, "int a, b, c, d; d = c + a * b;")
         encoded = encoder.encode_program(words)
         assert len(encoded) == len(words)
         for per_memory in encoded:
             assert len(per_memory) == 1
             assert per_memory[0].width == 16
 
-    def test_encoded_bits_are_consistent_with_conditions(self, tms_compiler, encoder):
-        words = _compiled_words(tms_compiler, "int a, b, d; d = a * b;")
+    def test_encoded_bits_are_consistent_with_conditions(self, tms_session, encoder):
+        words = _compiled_words(tms_session, "int a, b, d; d = a * b;")
         for word in words:
             assignment = word.partial_instruction()
             encoded = encoder.encode_word(word)[0]
@@ -73,14 +73,14 @@ class TestInstructionEncoder:
                 index = int(name[len("IM.word[") : -1])
                 assert encoded.bit(index) == int(value)
 
-    def test_listing(self, tms_compiler, encoder):
-        words = _compiled_words(tms_compiler, "int a, b, d; d = a + b;")
+    def test_listing(self, tms_session, encoder):
+        words = _compiled_words(tms_session, "int a, b, d; d = a + b;")
         listing = encoder.listing(words)
         assert listing.count("IM:") == len(words)
         assert "-" in listing
 
-    def test_demo_encoder(self, demo_result, demo_compiler):
+    def test_demo_encoder(self, demo_result, demo_session):
         encoder = InstructionEncoder(demo_result.netlist)
         assert encoder.instruction_width == 16
-        words = demo_compiler.compile_source("int a, b, d; d = a + b;").words
+        words = demo_session.compile("int a, b, d; d = a + b;").words
         assert encoder.encode_program(words)

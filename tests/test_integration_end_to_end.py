@@ -12,8 +12,8 @@ import pytest
 
 from repro.baselines import conventional_compiler, hand_reference_size
 from repro.dspstone import all_kernel_names, kernel_program
-from repro.record.compiler import RecordCompiler
 from repro.sim import simulate_statement_code
+from repro.toolchain import Session
 
 
 class TestTable3Shape:
@@ -34,14 +34,14 @@ class TestTable3Shape:
 
 class TestFigure2Shape:
     @pytest.fixture(scope="class")
-    def figure2(self, tms_result, tms_compiler):
+    def figure2(self, tms_result, tms_session):
         baseline = conventional_compiler(tms_result)
         rows = {}
         for name in all_kernel_names():
             program = kernel_program(name)
             rows[name] = {
                 "hand": hand_reference_size(name),
-                "record": tms_compiler.compile_program(program).code_size,
+                "record": tms_session.compile_program(program).code_size,
                 "baseline": baseline.compile_program(program).code_size,
             }
         return rows
@@ -85,8 +85,7 @@ class TestCrossTargetCompilation:
 
     @pytest.mark.parametrize("target", ["demo", "ref", "tms320c25"])
     def test_compile_and_simulate(self, retarget_results, target):
-        compiler = RecordCompiler(retarget_results[target])
-        compiled = compiler.compile_source(self.SOURCE, name="cross")
+        compiled = Session(retarget_results[target]).compile(self.SOURCE, name="cross")
         assert compiled.code_size > 0
         rng = random.Random(42)
         env = {name: rng.randint(-50, 50) for name in ("a", "b", "c", "d")}
@@ -104,8 +103,8 @@ class TestCrossTargetCompilation:
     def test_code_size_differs_across_architectures(self, retarget_results):
         sizes = {}
         for target in ("demo", "ref", "tms320c25"):
-            compiler = RecordCompiler(retarget_results[target])
-            sizes[target] = compiler.compile_source(self.SOURCE, name="cross").code_size
+            session = Session(retarget_results[target])
+            sizes[target] = session.compile(self.SOURCE, name="cross").code_size
         # the HW/SW trade-off the paper motivates: different architectures
         # need different numbers of instructions for the same program
         assert len(set(sizes.values())) >= 2, sizes

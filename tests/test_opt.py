@@ -436,11 +436,7 @@ class TestOptPipeline:
         assert stats.nodes_before > stats.nodes_after
         assert stats.algebraic >= 2  # add-zero, mul-one
         assert stats.temps_introduced == 1
-        # The default pipeline runs the dominator-scoped global CSE, so
-        # the hits land in the gvn counter (block-local cse reports the
-        # identical rewrite under cse_hits, see test_stage_subsets).
-        assert stats.gvn_hits == 2
-        assert stats.cse_hits == 0
+        assert stats.cse_hits == 2
         rebuilt = OptStats.from_dict(stats.to_dict())
         assert rebuilt == stats
         assert 0.0 < stats.node_reduction < 1.0
@@ -617,10 +613,7 @@ class TestOptimizationPassIntegration:
         metrics = compiled.metrics
         assert metrics.opt_nodes_before > metrics.opt_nodes_after
         assert metrics.opt_temps == 1
-        # The default pipeline routes redundancy elimination through the
-        # dominator-ordered GVN stage, so hits land in opt_gvn_hits.
-        assert metrics.opt_gvn_hits >= 2
-        assert metrics.opt_cse_hits == 0
+        assert metrics.opt_cse_hits >= 2
         # The optimizer block survives serialization.
         rebuilt = type(compiled).from_dict(compiled.to_dict())
         assert rebuilt.metrics.opt_temps == 1

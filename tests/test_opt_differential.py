@@ -97,7 +97,7 @@ class TestKernelsDifferential:
         self, target, retarget_results
     ):
         """The loop-form kernels exercise the whole global pipeline
-        (rotation, LICM, GVN, hardware-loop annotation): optimized must
+        (rotation, LICM, CSE, hardware-loop annotation): optimized must
         stay observably equal to unoptimized and never larger."""
         result = retarget_results[target]
         compared = 0

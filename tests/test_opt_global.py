@@ -2,11 +2,12 @@
 
 Covers the loop analysis (back edges against a brute-force dominator-set
 oracle, natural loops, preheader insertion), the counted-loop
-transformations (rotation, strength reduction), cross-block GVN, LICM,
-and the end-to-end hardware-loop contract on the TMS320C25: every
-loop-form DSPStone kernel must pick up at least one LICM hoist or one
-hardware loop, and RT simulation of the optimized compile must agree
-with IR-level reference execution of the *original* program.
+transformations (rotation, strength reduction), LICM, CSE soundness
+across branches, the never-negative rewrite counters, and the end-to-end
+hardware-loop contract on the TMS320C25: every loop-form DSPStone kernel
+must pick up at least one LICM hoist or one hardware loop, and RT
+simulation of the optimized compile must agree with IR-level reference
+execution of the *original* program.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.analysis.loops import (
 )
 from repro.dspstone import kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
+from repro.fuzz.generator import LOOP_HEAVY_CONFIG, generate_source
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
 from repro.ir.expr import Const, Op, VarRef
 from repro.opt import OPT_TEMP_PREFIXES, OptPipeline, optimize_program
@@ -317,7 +319,7 @@ class TestStrengthReduction:
 
 
 # ---------------------------------------------------------------------------
-# LICM and cross-block GVN
+# LICM and CSE across branches
 # ---------------------------------------------------------------------------
 
 
@@ -381,36 +383,41 @@ class TestLICM:
         _assert_same_execution(program, optimized)
 
 
-class TestGlobalValueNumbering:
-    def test_redundancy_across_dominated_blocks_is_removed(self):
+class TestCrossBlockCSE:
+    def test_reuse_stays_inside_the_block_that_computes_it(self):
+        # The default pipeline's CSE is block-local: the repeat within
+        # ``entry`` is served from a temporary, while the dominated
+        # blocks recompute the product rather than read that temporary.
         source = (
-            "int a, b, p, y0, y1, y2;\n"
+            "int a, b, p, y0, y1, y2, y3;\n"
             "y0 = a * b + 7;\n"
+            "y3 = a * b + 7;\n"
             "if (p < 4) { y1 = a * b + 7; }\n"
             "y2 = a * b + 7;\n"
         )
-        program = lower_to_program(source, name="gvn_cross")
-        optimized, stats = optimize_program(program, stages=("gvn", "dce"))
-        assert stats.gvn_hits >= 2
+        program = lower_to_program(source, name="cse_dominated")
+        optimized, stats = optimize_program(program)  # default stages
+        assert stats.cse_hits == 2
+        assert stats.temps_introduced == 1
         _assert_same_execution(program, optimized)
-        # The product is computed in exactly one (dominating) block.
-        computing_blocks = [
-            block.name
-            for block in optimized.blocks
-            if "mul(a, b)" in " ".join(str(s) for s in block.statements)
-        ]
-        assert computing_blocks == ["entry"]
+        for block in optimized.blocks:
+            text = " ".join(str(s) for s in block.statements)
+            if block.name == "entry":
+                assert "__cse0" in text
+            else:
+                assert "__cse" not in text
+                assert "mul(a, b)" in text
 
     def test_sibling_branches_do_not_share(self):
-        # Neither branch of an if/else dominates the other: GVN must not
-        # reuse a value computed in only one of them afterwards.
+        # Neither branch of an if/else dominates the other: the optimizer
+        # must not reuse a value computed in only one of them afterwards.
         source = (
             "int a, b, p, y0, y1, y2;\n"
             "if (p < 4) { y0 = a * b + 7; } else { y1 = a * b + 7; }\n"
             "y2 = a * b + 7;\n"
         )
-        program = lower_to_program(source, name="gvn_siblings")
-        optimized, _stats = optimize_program(program, stages=("gvn", "dce"))
+        program = lower_to_program(source, name="cse_siblings")
+        optimized, _stats = optimize_program(program)  # default stages
         _assert_same_execution(program, optimized)
 
 
@@ -483,3 +490,15 @@ class TestPipelineObserver:
             program, observer=lambda stage, prog: seen.append(stage)
         )
         assert tuple(seen) == OptPipeline.DEFAULT_STAGES
+
+
+class TestStatsInvariants:
+    def test_counters_are_never_negative_on_loop_heavy_programs(self):
+        for seed in range(40):
+            program = lower_to_program(
+                generate_source(seed, LOOP_HEAVY_CONFIG), name="loops%d" % seed
+            )
+            _optimized, stats = optimize_program(program)
+            for key, value in stats.to_dict().items():
+                if isinstance(value, int):
+                    assert value >= 0, (seed, key, value)

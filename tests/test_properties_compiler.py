@@ -47,9 +47,9 @@ def _programs(draw):
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(source=_programs(), seed=st.integers(min_value=0, max_value=2**16))
-def test_generated_code_matches_reference_execution(tms_compiler, source, seed):
+def test_generated_code_matches_reference_execution(tms_session, source, seed):
     try:
-        compiled = tms_compiler.compile_source(source, name="random")
+        compiled = tms_session.compile(source, name="random")
     except CodeGenerationError:
         pytest.skip("expression not coverable on this target")
     # Reference-execute the *original* lowered program, not the one the

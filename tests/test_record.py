@@ -4,14 +4,13 @@ import pytest
 
 from repro.expansion import ExpansionOptions
 from repro.record import (
-    CompilerOptions,
-    RecordCompiler,
     processor_class_report,
     retarget,
     retargeting_report,
 )
 from repro.record.report import format_processor_class_report
 from repro.targets.library import target_hdl_source
+from repro.toolchain import PipelineConfig, Session
 
 
 class TestRetarget:
@@ -61,43 +60,42 @@ class TestRetarget:
 
 
 class TestCompiler:
-    def test_compile_source_end_to_end(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c, d; d = c + a * b;")
+    def test_compile_source_end_to_end(self, tms_session):
+        compiled = tms_session.compile("int a, b, c, d; d = c + a * b;")
         assert compiled.code_size == 4
         assert compiled.operation_count == 4
         assert compiled.spill_count == 0
         assert compiled.selection_cost == 4
         assert compiled.processor == "tms320c25"
 
-    def test_listing_is_renderable(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, d; d = a + b;", name="tiny")
+    def test_listing_is_renderable(self, tms_session):
+        compiled = tms_session.compile("int a, b, d; d = a + b;", name="tiny")
         listing = compiled.listing()
         assert "tiny" in listing and "tms320c25" in listing
 
     def test_binding_overrides_are_respected(self, tms_result):
-        compiler = RecordCompiler(tms_result)
-        compiled = compiler.compile_source(
+        compiled = Session(tms_result).compile(
             "int a, d; d = d + a;", binding_overrides={"a": "ACC"}
         )
         assert compiled.binding.storage_of("a") == "ACC"
 
     def test_options_disable_compaction(self, tms_result):
-        with_compaction = RecordCompiler(tms_result, CompilerOptions(use_compaction=True))
-        without = RecordCompiler(tms_result, CompilerOptions(use_compaction=False))
+        with_compaction = Session(tms_result, PipelineConfig(use_compaction=True))
+        without = Session(tms_result, PipelineConfig(use_compaction=False))
         source = "int a, b, c, d, e; d = c + a * b; e = c - a;"
         assert (
-            with_compaction.compile_source(source).code_size
-            <= without.compile_source(source).code_size
+            with_compaction.compile(source).code_size
+            <= without.compile(source).code_size
         )
 
     def test_no_chained_option_increases_cost(self, tms_result):
-        full = RecordCompiler(tms_result)
-        restricted = RecordCompiler(tms_result, CompilerOptions(allow_chained=False))
+        full = Session(tms_result)
+        restricted = Session(tms_result, PipelineConfig(allow_chained=False))
         source = "int a, b, c, d; d = c + a * b;"
-        assert restricted.compile_source(source).code_size > full.compile_source(source).code_size
+        assert restricted.compile(source).code_size > full.compile(source).code_size
 
-    def test_compiled_programs_share_statement_structure(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c; b = a + 1; c = b + 2;")
+    def test_compiled_programs_share_statement_structure(self, tms_session):
+        compiled = tms_session.compile("int a, b, c; b = a + 1; c = b + 2;")
         assert len(compiled.statement_codes) == 2
         assert compiled.program.statement_count() == 2
 

@@ -1,11 +1,16 @@
 """Tests for the structured CompilationResult artifact API."""
 
+import dataclasses
+import importlib
 import json
 
 import pytest
 
+import repro
+import repro.record
+from repro.baselines import conventional_compiler
+
 from repro.diagnostics import Diagnostic, ResultError
-from repro.record.compiler import CompiledProgram
 from repro.record.report import compilation_report
 from repro.toolchain import (
     CompilationResult,
@@ -23,11 +28,6 @@ SPILLY = (
     "int x0, x1, x2, x3, y; "
     "y = x0 * x1 + x1 * x2 + x2 * x3 + x3 * x0;"
 )
-
-
-@pytest.fixture(scope="module")
-def tms_session(tms_result):
-    return Session(tms_result)
 
 
 @pytest.fixture(scope="module")
@@ -161,35 +161,33 @@ class TestSpillDiagnostics:
         assert not [d for d in result.diagnostics if d.phase == "spill"]
 
 
-class TestLegacyShim:
-    def test_compiled_program_is_a_compilation_result(self, tms_compiler):
-        compiled = tms_compiler.compile_source(SOURCE)
-        assert isinstance(compiled, CompilationResult)
+class TestOneCompileAPI:
+    def test_record_compiler_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.record.compiler")
+        for module in (repro, repro.record, importlib.import_module("repro.toolchain")):
+            for name in ("RecordCompiler", "CompiledProgram", "CompilerOptions"):
+                assert not hasattr(module, name), (module.__name__, name)
 
-    def test_legacy_constructor_still_works(self, result):
-        legacy = CompiledProgram(
-            program=result.program,
-            processor=result.processor,
-            statement_codes=list(result.statement_codes),
-            instances=result.instances,
-            words=list(result.words),
-            binding=result.binding,
-        )
-        assert legacy.code_size == result.code_size
-        assert legacy.operation_count == result.operation_count
-        assert legacy.spill_count == result.spill_count
-        assert legacy.selection_cost == result.selection_cost
-        assert legacy.listing() == result.listing()
+    def test_opt_gvn_hits_is_a_read_only_zero_outside_the_schema(self, result):
+        metrics = result.metrics
+        assert metrics.opt_gvn_hits == 0
+        assert "opt_gvn_hits" not in metrics.to_dict()
+        assert "opt_gvn_hits" not in {f.name for f in dataclasses.fields(metrics)}
+        with pytest.raises(AttributeError):
+            metrics.opt_gvn_hits = 1
 
-    def test_shim_and_session_results_are_bit_identical(self, tms_result, tms_compiler):
-        via_shim = tms_compiler.compile_source(SOURCE)
-        via_session = Session(tms_result).compile(SOURCE)
-        assert via_shim.code_size == via_session.code_size
-        assert via_shim.operation_count == via_session.operation_count
-        assert [i.describe() for i in via_shim.instances] == [
+    def test_conventional_compiler_matches_a_preset_session(self, tms_result):
+        via_baseline = conventional_compiler(tms_result).compile(SOURCE)
+        via_session = Session(
+            tms_result, config=PipelineConfig.preset("conventional")
+        ).compile(SOURCE)
+        assert via_baseline.code_size == via_session.code_size
+        assert via_baseline.operation_count == via_session.operation_count
+        assert [i.describe() for i in via_baseline.instances] == [
             i.describe() for i in via_session.instances
         ]
-        assert via_shim.listing() == via_session.listing()
+        assert via_baseline.listing() == via_session.listing()
 
 
 class TestReport:

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.record.compiler import RecordCompiler
 from repro.sim import (
     RTSimulator,
     SimulationError,
@@ -29,24 +28,24 @@ def _agrees(reference, simulated):
 
 
 class TestSimulatorBasics:
-    def test_simple_statement(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, d; d = a + b;")
+    def test_simple_statement(self, tms_session):
+        compiled = tms_session.compile("int a, b, d; d = a + b;")
         env = {"a": 3, "b": 4}
         result = simulate_statement_code(compiled.statement_codes, env)
         assert result["d"] == 7
 
-    def test_chained_mac_semantics(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c, d; d = c + a * b;")
+    def test_chained_mac_semantics(self, tms_session):
+        compiled = tms_session.compile("int a, b, c, d; d = c + a * b;")
         result = simulate_statement_code(compiled.statement_codes, {"a": 2, "b": 5, "c": 1})
         assert result["d"] == 11
 
-    def test_negative_values_wrap_to_word_width(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, d; d = a - b;")
+    def test_negative_values_wrap_to_word_width(self, tms_session):
+        compiled = tms_session.compile("int a, b, d; d = a - b;")
         result = simulate_statement_code(compiled.statement_codes, {"a": 1, "b": 2})
         assert result["d"] == 0xFFFF
 
-    def test_sequence_of_statements(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c; b = a + a; c = b * a;")
+    def test_sequence_of_statements(self, tms_session):
+        compiled = tms_session.compile("int a, b, c; b = a + a; c = b * a;")
         result = simulate_statement_code(compiled.statement_codes, {"a": 3})
         assert result["b"] == 6
         assert result["c"] == 18
@@ -92,17 +91,17 @@ class TestKernelEquivalence:
             "convolution",
         ],
     )
-    def test_kernel_on_tms320c25(self, tms_compiler, kernel):
+    def test_kernel_on_tms320c25(self, tms_session, kernel):
         program = kernel_program(kernel)
-        compiled = tms_compiler.compile_program(program)
+        compiled = tms_session.compile_program(program)
         block = program.single_block()
         env = _environment(block, seed=hash(kernel) & 0xFFFF)
         assert _agrees(block.execute(env), simulate_statement_code(compiled.statement_codes, env))
 
     @pytest.mark.parametrize("kernel", ["real_update", "dot_product", "biquad_one"])
-    def test_kernel_on_demo_machine(self, demo_compiler, kernel):
+    def test_kernel_on_demo_machine(self, demo_session, kernel):
         program = kernel_program(kernel)
-        compiled = demo_compiler.compile_program(program)
+        compiled = demo_session.compile_program(program)
         block = program.single_block()
         env = _environment(block, seed=1)
         assert _agrees(block.execute(env), simulate_statement_code(compiled.statement_codes, env))
@@ -176,8 +175,8 @@ class TestCrossTargetEquivalence:
 
 
 class TestTraceHelpers:
-    def test_trace_execution_records_statements_in_order(self, tms_compiler):
-        compiled = tms_compiler.compile_source("int a, b, c; b = a + a; c = b * a;")
+    def test_trace_execution_records_statements_in_order(self, tms_session):
+        compiled = tms_session.compile("int a, b, c; b = a + a; c = b * a;")
         trace = trace_execution(list(compiled.statement_codes), {"a": 3})
         assert [step.statement for step in trace.steps] == [
             "b = add(a, a)",
@@ -188,10 +187,10 @@ class TestTraceHelpers:
         assert trace.initial_environment == {"a": 3}
         assert trace.final_environment["c"] == 18
 
-    def test_trace_to_dict_is_json_ready(self, tms_compiler):
+    def test_trace_to_dict_is_json_ready(self, tms_session):
         import json
 
-        compiled = tms_compiler.compile_source("int a, b; b = a + 1;")
+        compiled = tms_session.compile("int a, b; b = a + 1;")
         trace = trace_execution(list(compiled.statement_codes), {"a": 1})
         encoded = json.dumps(trace.to_dict())
         assert json.loads(encoded)["final_environment"]["b"] == 2

@@ -15,7 +15,6 @@ from repro.diagnostics import (
 from repro.dspstone import all_kernel_names, get_kernel, kernel_program
 from repro.frontend import LoweringError, SourceSyntaxError
 from repro.hdl.errors import HdlParseError
-from repro.record.compiler import CompilerOptions, RecordCompiler, restricted_selector
 from repro.targets import all_target_names, target_hdl_source
 from repro.toolchain import (
     PRESETS,
@@ -27,6 +26,7 @@ from repro.toolchain import (
     TargetRegistry,
     TargetSpec,
     Toolchain,
+    restricted_selector,
     retarget_fingerprint,
 )
 
@@ -127,21 +127,23 @@ class TestPipeline:
         assert "schedule" not in manager.names()
         assert "select" in manager.names() and "spill" in manager.names()
 
-    def test_conventional_preset_matches_baseline_options(self):
-        from repro.baselines import conventional_options
+    def test_conventional_preset_matches_baseline_options(self, tms_result):
+        from repro.baselines import conventional_compiler
 
-        assert PipelineConfig.preset("conventional") == PipelineConfig.from_options(
-            conventional_options()
+        assert (
+            conventional_compiler(tms_result).config
+            == PipelineConfig.preset("conventional")
         )
+
+    def test_disabled_flags_round_trip_and_key_the_selector(self):
+        config = PipelineConfig(allow_chained=False, use_compaction=False)
+        assert PipelineConfig.from_dict(config.to_dict()) == config
+        assert config.selector_key() == (False, True)
+        assert config.selector_key() != PipelineConfig().selector_key()
 
     def test_unknown_preset_raises(self):
         with pytest.raises(PipelineError):
             PipelineConfig.preset("turbo")
-
-    def test_options_roundtrip(self):
-        options = CompilerOptions(allow_chained=False, use_compaction=False)
-        config = PipelineConfig.from_options(options)
-        assert config.to_options() == options
 
     def test_pipeline_editing(self):
         manager = PassManager.from_config(PipelineConfig())
@@ -192,13 +194,13 @@ class TestSession:
         assert compiled.processor == "demo"
         assert compiled.code_size > 0
 
-    def test_compile_many_equivalent_to_sequential_legacy(self, tms_result):
+    def test_compile_many_equivalent_to_sequential(self, tms_result):
         kernels = [get_kernel(name).source for name in all_kernel_names()]
         session = Session(tms_result)
         batch = session.compile_many(kernels, names=all_kernel_names())
-        legacy = RecordCompiler(tms_result)
+        sequential = Session(tms_result)
         for name, compiled in zip(all_kernel_names(), batch):
-            reference = legacy.compile_source(get_kernel(name).source, name=name)
+            reference = sequential.compile(get_kernel(name).source, name=name)
             assert compiled.code_size == reference.code_size, name
             assert compiled.spill_count == reference.spill_count, name
             assert compiled.operation_count == reference.operation_count, name
@@ -242,11 +244,10 @@ class TestSession:
         assert (second.code_size, second.operation_count) == baseline
 
     def test_restricted_selector_memoized_across_compilers(self, tms_result):
-        options = CompilerOptions(allow_chained=False)
-        first = RecordCompiler(tms_result, options)
-        second = RecordCompiler(tms_result, CompilerOptions(allow_chained=False))
-        assert first._selector is second._selector
-        assert restricted_selector(tms_result, allow_chained=False) is first._selector
+        first = Session(tms_result, PipelineConfig(allow_chained=False))
+        second = Session(tms_result, PipelineConfig(allow_chained=False))
+        assert first.selector is second.selector
+        assert restricted_selector(tms_result, allow_chained=False) is first.selector
         # the unrestricted selector is the retarget result's own
         assert restricted_selector(tms_result) is tms_result.selector
 
