@@ -78,6 +78,7 @@ class ControlFlowGraph:
         self.rpo_index: Dict[str, int] = {
             name: index for index, name in enumerate(self.names)
         }
+        self._loop_forest = None
 
     @classmethod
     def from_program(cls, program) -> "ControlFlowGraph":
@@ -103,6 +104,27 @@ class ControlFlowGraph:
     ) -> "ControlFlowGraph":
         """A synthetic CFG from an explicit edge map (tests, oracles)."""
         return cls(entry, edges)
+
+    def loop_forest(self):
+        """The :func:`~repro.analysis.loops.loop_nesting_forest` of this
+        CFG, computed on first use and shared by every later caller."""
+        if self._loop_forest is None:
+            from repro.analysis.loops import loop_nesting_forest
+
+            self._loop_forest = loop_nesting_forest(self)
+        return self._loop_forest
+
+    def has_retreating_edge(self) -> bool:
+        """True when some edge runs against reverse postorder (self-loops
+        included).  Every cycle contains one, so ``False`` proves the
+        reachable CFG acyclic: no natural loop, nothing for loop
+        transformations to do."""
+        rpo = self.rpo_index
+        return any(
+            rpo[target] <= rpo[source]
+            for source in self.names
+            for target in self.successors[source]
+        )
 
     def __len__(self) -> int:
         return len(self.names)

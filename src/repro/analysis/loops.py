@@ -279,6 +279,7 @@ def _retarget(terminator, old: str, new: str):
 def insert_preheaders(
     program: Program,
     forest: Optional[LoopNestingForest] = None,
+    cfg: Optional[ControlFlowGraph] = None,
 ) -> Dict[str, str]:
     """Give every natural-loop header a dedicated preheader block.
 
@@ -291,8 +292,10 @@ def insert_preheaders(
     predecessor already is a preheader.  Returns ``{header: preheader}``
     for every loop (including the pre-existing ones), and updates
     ``forest`` loops' ``preheader`` fields when a forest is passed.
+    ``cfg`` (built when omitted) supplies the headers' predecessors.
     """
-    cfg = ControlFlowGraph.from_program(program)
+    if cfg is None:
+        cfg = ControlFlowGraph.from_program(program)
     if forest is None:
         forest = loop_nesting_forest(cfg)
     preheaders: Dict[str, str] = {}

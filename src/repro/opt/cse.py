@@ -27,18 +27,12 @@ compares.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.expr import VarRef, expr_variables
-from repro.ir.program import BasicBlock, Program, Statement
-from repro.opt.dag import (
-    DAGNode,
-    ExprDAG,
-    ProgramDAG,
-    _make_expr,
-    copy_expr,
-    copy_terminator,
-)
+from repro.ir.program import Program, Statement
+from repro.opt.dag import DAGNode, ExprDAG, ProgramDAG, _make_expr
 
 #: Prefix of compiler-generated CSE temporaries.
 TEMP_PREFIX = "__cse"
@@ -59,6 +53,31 @@ MIN_OPS = 2
 
 def is_temp(name: str, temp_prefix: str = TEMP_PREFIX) -> bool:
     return name.startswith(temp_prefix)
+
+
+def temp_allocator(
+    prefix: str, program: Program, reserved: Optional[Set[str]] = None
+) -> Callable[[], str]:
+    """Allocator of fresh ``<prefix><n>`` temporaries for ``program``.
+
+    Names never collide with program variables -- a user is free to
+    declare a scalar called ``__cse0``.  ``reserved``, the names to
+    avoid, may be shared by every allocator of one optimizer run: while
+    still empty it is filled from the program's variables on the first
+    allocation, and each name handed out joins it."""
+    reserved = set() if reserved is None else reserved
+    serial = itertools.count()
+
+    def alloc() -> str:
+        if not reserved:
+            reserved.update(program.all_variables(), program.scalars)
+        while True:
+            name = "%s%d" % (prefix, next(serial))
+            if name not in reserved:
+                reserved.add(name)
+                return name
+
+    return alloc
 
 
 def _candidate_ids(
@@ -123,67 +142,39 @@ def eliminate_common_subexpressions(
     min_ops: int = MIN_OPS,
     temp_prefix: str = TEMP_PREFIX,
     counters: Optional[Dict[str, int]] = None,
-) -> Program:
-    """A fresh program with repeated subexpressions materialized into
-    compiler temporaries.  ``counters`` (when given) accumulates
-    ``cse_hits`` (occurrences rewritten to read a temporary) and
-    ``temps_introduced``."""
+    reserved: Optional[Set[str]] = None,
+) -> Set[str]:
+    """Materialize repeated subexpressions of ``program`` into compiler
+    temporaries, in place.  Only blocks with a candidate are rewritten.
+    ``reserved`` is the run's shared name set (see
+    :func:`temp_allocator`).  Returns the temporaries introduced;
+    ``counters`` (when given) accumulates ``cse_hits`` (occurrences
+    rewritten to read a temporary) and ``temps_introduced``."""
     stats = counters if counters is not None else {}
     stats.setdefault("cse_hits", 0)
     stats.setdefault("temps_introduced", 0)
-    # Temporary names must never collide with program variables -- a user
-    # is free to declare a scalar called "__cse0".
-    reserved = set(program.all_variables()) | set(program.scalars)
-    temp_serial = [0]
-
-    def alloc_temp() -> str:
-        while True:
-            name = "%s%d" % (temp_prefix, temp_serial[0])
-            temp_serial[0] += 1
-            if name not in reserved:
-                reserved.add(name)
-                return name
-
-    new_blocks: List[BasicBlock] = []
-    temps: List[str] = []
+    alloc_temp = temp_allocator(temp_prefix, program, reserved)
+    temps: Set[str] = set()
     for block in program.blocks:
         builder = ProgramDAG()
         roots = [builder.add_statement(statement) for statement in block.statements]
         dag = builder.dag
         candidates = _candidate_ids(dag, min_occurrences, min_ops)
+        if not candidates:
+            continue
         materialized: Dict[int, str] = {}
         statements: List[Statement] = []
         for statement, root in zip(block.statements, roots):
             hoisted: List[Statement] = []
-            expression = _rebuild_with_temps(
+            statement.expression = _rebuild_with_temps(
                 dag, root, candidates, materialized, hoisted, alloc_temp, stats
             )
             statements.extend(hoisted)
-            destination_index = statement.destination_index
-            if destination_index is not None:
-                destination_index = copy_expr(destination_index)
-            statements.append(
-                Statement(
-                    destination=statement.destination,
-                    expression=expression,
-                    destination_index=destination_index,
-                )
-            )
-        temps.extend(sorted(materialized.values()))
-        new_blocks.append(
-            BasicBlock(
-                name=block.name,
-                statements=statements,
-                terminator=copy_terminator(block.terminator),
-            )
-        )
-    return Program(
-        name=program.name,
-        blocks=new_blocks,
-        scalars=list(program.scalars) + sorted(set(temps)),
-        arrays=dict(program.arrays),
-        entry=program.entry,
-    )
+            statements.append(statement)
+        block.statements = statements
+        temps.update(materialized.values())
+    program.scalars.extend(sorted(temps))
+    return temps
 
 
 def eliminate_dead_temporaries(
@@ -191,17 +182,15 @@ def eliminate_dead_temporaries(
     temp_prefix: str = TEMP_PREFIX,
     counters: Optional[Dict[str, int]] = None,
     temps: Optional[Set[str]] = None,
-) -> Program:
-    """A fresh program without assignments to compiler temporaries that
-    are never read afterwards.
+) -> int:
+    """Remove assignments to compiler temporaries that are never read
+    afterwards, in place; returns the number removed.
 
     ``temps`` names the temporaries eligible for removal.  The pipeline
-    passes exactly the set the CSE stage materialized, so a *user*
-    variable that happens to be called ``__cse0`` is never touched; when
-    ``temps`` is ``None`` (standalone use) any ``temp_prefix``-named
-    destination counts.  Statements (and their expression trees) are
-    reused from the input program object -- callers needing full copy
-    hygiene copy afterwards (see :class:`~repro.opt.pipeline.OptPipeline`).
+    passes exactly the set its materializing stages introduced, so a
+    *user* variable that happens to be called ``__cse0`` is never
+    touched; when ``temps`` is ``None`` (standalone use) any
+    ``temp_prefix``-named destination counts.
 
     On straight-line programs this is the classic backward liveness
     sweep.  On CFG programs it stays conservative across block
@@ -211,6 +200,9 @@ def eliminate_dead_temporaries(
     """
     stats = counters if counters is not None else {}
     stats.setdefault("dead_removed", 0)
+    if temps is not None and not temps:
+        return 0
+    removed = 0
 
     def removable(name: str) -> bool:
         if temps is not None:
@@ -223,7 +215,6 @@ def eliminate_dead_temporaries(
             reads.update(expr_variables(statement.destination_index))
         return reads
 
-    new_blocks: List[BasicBlock] = []
     live_temps: Set[str] = set()
     if program.is_straight_line():
         block = program.blocks[0]
@@ -236,18 +227,17 @@ def eliminate_dead_temporaries(
                 and removable(destination)
                 and destination not in needed
             ):
-                stats["dead_removed"] += 1
+                removed += 1
                 continue
             kept.append(statement)
             if statement.destination_index is None:
                 needed.discard(destination)
-            kept_reads = statement_reads(statement)
-            needed.update(kept_reads)
+            needed.update(statement_reads(statement))
         kept.reverse()
         for statement in kept:
             if removable(statement.destination):
                 live_temps.add(statement.destination)
-        new_blocks.append(BasicBlock(name=block.name, statements=kept))
+        block.statements = kept
     else:
         # CFG-conservative: collect every name read anywhere, then drop
         # only removable destinations that are never read at all.
@@ -266,25 +256,16 @@ def eliminate_dead_temporaries(
                     and removable(destination)
                     and destination not in read_anywhere
                 ):
-                    stats["dead_removed"] += 1
+                    removed += 1
                     continue
                 kept.append(statement)
                 if removable(destination):
                     live_temps.add(destination)
-            new_blocks.append(
-                BasicBlock(
-                    name=block.name, statements=kept, terminator=block.terminator
-                )
-            )
-    scalars = [
+            block.statements = kept
+    program.scalars = [
         name
         for name in program.scalars
         if not removable(name) or name in live_temps
     ]
-    return Program(
-        name=program.name,
-        blocks=new_blocks,
-        scalars=scalars,
-        arrays=dict(program.arrays),
-        entry=program.entry,
-    )
+    stats["dead_removed"] += removed
+    return removed

@@ -91,15 +91,16 @@ class ExprDAG:
         self.nodes.append(
             DAGNode(id=node_id, kind=kind, label=label, value=value, children=children)
         )
-        self.op_counts.append(
-            (1 if kind == "op" else 0) + sum(self.op_counts[c] for c in children)
-        )
-        self.has_port.append(
-            kind == "port" or any(self.has_port[c] for c in children)
-        )
-        self.uses.append(0)
+        ops = 1 if kind == "op" else 0
+        port = kind == "port"
+        uses = self.uses
         for child in children:
-            self.uses[child] += 1
+            ops += self.op_counts[child]
+            port = port or self.has_port[child]
+            uses[child] += 1
+        self.op_counts.append(ops)
+        self.has_port.append(port)
+        uses.append(0)
         return node_id
 
     def to_expr(self, node_id: int) -> IRNode:
@@ -195,49 +196,45 @@ class ProgramDAG:
 
     def intern_expr(self, expr: IRNode) -> int:
         """Intern one IR expression bottom-up (explicit stack)."""
-        dag = self.dag
+        intern = self.dag.intern
         results: List[int] = []
         stack: List[Tuple[IRNode, bool]] = [(expr, False)]
         while stack:
             node, expanded = stack.pop()
-            if isinstance(node, Const):
-                key = ("const", node.value)
-                results.append(dag.intern(key, "const", "", node.value, ()))
-                continue
-            if isinstance(node, VarRef):
-                key = ("var", node.name, self.version_of(node.name))
-                array = self._array_of(node.name)
-                if array is not None:
-                    key = key + (self.dynamic_epoch_of(array),)
-                results.append(dag.intern(key, "var", node.name, 0, ()))
-                continue
-            if isinstance(node, PortInput):
-                key = ("port", node.port, self.version_of("@%s" % node.port))
-                results.append(dag.intern(key, "port", node.port, 0, ()))
-                continue
-            if isinstance(node, ArrayRef):
-                if expanded:
+            kind = type(node)
+            if expanded:
+                if kind is Op:
+                    arity = len(node.operands)
+                    children = tuple(results[len(results) - arity:])
+                    del results[len(results) - arity:]
+                    key = ("op", node.op, children)
+                    results.append(intern(key, "op", node.op, 0, children))
+                else:  # ArrayRef, its index interned
                     index_id = results.pop()
                     key = ("aref", node.name, self.store_epoch_of(node.name), index_id)
-                    results.append(
-                        dag.intern(key, "aref", node.name, 0, (index_id,))
-                    )
-                    continue
+                    results.append(intern(key, "aref", node.name, 0, (index_id,)))
+            elif kind is VarRef:
+                name = node.name
+                key = ("var", name, self._versions.get(name, 0))
+                array = self._array_of(name)
+                if array is not None:
+                    key += (self.dynamic_epoch_of(array),)
+                results.append(intern(key, "var", name, 0, ()))
+            elif kind is Const:
+                key = ("const", node.value)
+                results.append(intern(key, "const", "", node.value, ()))
+            elif kind is Op:
+                stack.append((node, True))
+                for operand in reversed(node.operands):
+                    stack.append((operand, False))
+            elif kind is ArrayRef:
                 stack.append((node, True))
                 stack.append((node.index, False))
-                continue
-            if not isinstance(node, Op):
-                raise TypeError("unexpected IR node %r" % type(node).__name__)
-            if expanded:
-                arity = len(node.operands)
-                children = tuple(results[len(results) - arity:]) if arity else ()
-                del results[len(results) - arity:]
-                key = ("op", node.op, children)
-                results.append(dag.intern(key, "op", node.op, 0, children))
-                continue
-            stack.append((node, True))
-            for operand in reversed(node.operands):
-                stack.append((operand, False))
+            elif kind is PortInput:
+                key = ("port", node.port, self.version_of("@%s" % node.port))
+                results.append(intern(key, "port", node.port, 0, ()))
+            else:
+                raise TypeError("unexpected IR node %r" % kind.__name__)
         return results[0]
 
 

@@ -30,11 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.loops import (
-    LoopNestingForest,
-    insert_preheaders,
-    loop_nesting_forest,
-)
+from repro.analysis.loops import LoopNestingForest, insert_preheaders
 from repro.ir.expr import (
     ArrayRef,
     Const,
@@ -46,15 +42,12 @@ from repro.ir.expr import (
     expr_variables,
 )
 from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
-from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS
+from repro.opt.cse import MIN_OCCURRENCES, MIN_OPS, temp_allocator
 from repro.opt.dag import copy_expr
+from repro.opt.loops import _is_plain_scalar
 
 #: Prefix of loop-invariant code motion temporaries.
 LICM_TEMP_PREFIX = "__licm"
-
-
-def _is_plain_scalar(name: str) -> bool:
-    return not name.startswith("@") and "[" not in name
 
 
 def _base_array(name: str) -> Optional[str]:
@@ -123,8 +116,7 @@ def _op_count(expr: IRNode) -> int:
     return count
 
 
-def _self_loops(program: Program, cfg: ControlFlowGraph) -> List[str]:
-    forest: LoopNestingForest = loop_nesting_forest(cfg)
+def _self_loops(program: Program, forest: LoopNestingForest) -> List[str]:
     return [
         header
         for header, loop in forest.loops.items()
@@ -221,30 +213,29 @@ def hoist_loop_invariants(
     program: Program,
     counters: Optional[Dict[str, int]] = None,
     temp_prefix: str = LICM_TEMP_PREFIX,
+    cfg: Optional[ControlFlowGraph] = None,
+    reserved: Optional[Set[str]] = None,
 ) -> Set[str]:
     """Hoist loop-invariant statements and subexpressions of every
     single-block self-loop into its preheader (mutating ``program``).
-    Returns the ``__licm*`` temporaries introduced; ``counters``
-    accumulates ``licm_hoisted`` (statements moved plus temporaries
-    materialized)."""
+    ``cfg`` is the program's current CFG (built when omitted) and
+    ``reserved`` the run's shared name set (see
+    :func:`~repro.opt.cse.temp_allocator`).  Returns the
+    ``__licm*`` temporaries introduced; ``counters`` accumulates
+    ``licm_hoisted`` (statements moved plus temporaries materialized)."""
     stats = counters if counters is not None else {}
     stats.setdefault("licm_hoisted", 0)
     introduced: Set[str] = set()
-    reserved = set(program.all_variables()) | set(program.scalars)
-    serial = [0]
-
-    def alloc_temp() -> str:
-        while True:
-            name = "%s%d" % (temp_prefix, serial[0])
-            serial[0] += 1
-            if name not in reserved:
-                reserved.add(name)
-                return name
-
-    cfg = ControlFlowGraph.from_program(program)
+    alloc_temp = temp_allocator(temp_prefix, program, reserved)
+    if cfg is None:
+        cfg = ControlFlowGraph.from_program(program)
     if not cfg.names:
         return introduced
-    for header in _self_loops(program, cfg):
+    forest = cfg.loop_forest()
+    # One CFG and forest serve every loop: a preheader inserted for one
+    # self-loop redirects only that loop's entering edges, so the other
+    # headers' predecessor sets -- all this pass reads -- stay exact.
+    for header in _self_loops(program, forest):
         block = program.block(header)
 
         # Plan: how many hoists would land in the preheader?  Statement
@@ -278,12 +269,11 @@ def hoist_loop_invariants(
             # A created preheader costs a jump word; one hoisted
             # statement cannot pay for it.
             continue
-        forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
         mini = LoopNestingForest()
         mini.loops[header] = forest.loops[header]
         mini.roots = [header]
         mini.children = {header: []}
-        preheader_name = insert_preheaders(program, mini)[header]
+        preheader_name = insert_preheaders(program, mini, cfg)[header]
         preheader = program.block(preheader_name)
 
         # Statement hoisting to fixpoint (each move may unlock the next).
@@ -322,7 +312,4 @@ def hoist_loop_invariants(
             if temp not in program.scalars:
                 program.scalars.append(temp)
             stats["licm_hoisted"] += 1
-        # The CFG gained a block if a preheader was created; refresh for
-        # the remaining loops.
-        cfg = ControlFlowGraph.from_program(program)
     return introduced

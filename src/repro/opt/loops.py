@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
-from repro.analysis.loops import loop_nesting_forest
+from repro.analysis.loops import _retarget
 from repro.ir.expr import (
+    ArrayRef,
     Const,
     IRNode,
     Op,
@@ -44,6 +45,7 @@ from repro.ir.expr import (
     wrap_word,
 )
 from repro.ir.program import CBranch, HardwareLoop, Jump, Program, Statement
+from repro.opt.cse import temp_allocator
 
 #: Prefix of strength-reduction temporaries.
 SR_TEMP_PREFIX = "__sr"
@@ -231,7 +233,7 @@ def find_counted_loops(
         cfg = ControlFlowGraph.from_program(program)
     if not cfg.names:
         return {}
-    forest = loop_nesting_forest(cfg)
+    forest = cfg.loop_forest()
     counted: Dict[str, CountedLoop] = {}
     for header, loop in forest.loops.items():
         if len(loop.back_edges) != 1:
@@ -320,12 +322,12 @@ def find_counted_loops(
 # ---------------------------------------------------------------------------
 
 
-def _rotate_one(program: Program, loop: CountedLoop) -> None:
+def _rotate_one(program: Program, loop: CountedLoop, cfg: ControlFlowGraph) -> None:
     """Rewrite one ``while``-form counted loop (proven >= 1 trip) into
     ``do``-``while`` form in place: the latch takes the header's
     conditional branch, every outside edge enters the latch directly,
-    and the (now unreachable) header block is removed."""
-    cfg = ControlFlowGraph.from_program(program)
+    and the (now unreachable) header block is removed.  ``cfg`` is the
+    program's CFG before the rewrite."""
     header_block = program.block(loop.header)
     branch = header_block.terminator
     latch_block = program.block(loop.latch)
@@ -334,8 +336,6 @@ def _rotate_one(program: Program, loop: CountedLoop) -> None:
         true_target=branch.true_target,
         false_target=branch.false_target,
     )
-    from repro.analysis.loops import _retarget
-
     for pred in cfg.predecessors.get(loop.header, ()):
         if pred == loop.latch:
             continue
@@ -347,27 +347,33 @@ def _rotate_one(program: Program, loop: CountedLoop) -> None:
 
 
 def rotate_counted_loops(
-    program: Program, counters: Optional[Dict[str, int]] = None
-) -> int:
+    program: Program,
+    counters: Optional[Dict[str, int]] = None,
+    cfg: Optional[ControlFlowGraph] = None,
+) -> Tuple[ControlFlowGraph, Dict[str, CountedLoop]]:
     """Rotate every eligible ``while``-form counted loop of ``program``
     (mutating it), re-recognizing after each rewrite so chained loops see
-    each other's updated edges.  Returns the number of rotations."""
+    each other's updated edges.  ``cfg`` is the program's current CFG
+    (built when omitted).  Returns the CFG and the counted loops of the
+    rotated program; ``counters`` accumulates ``loops_rotated``."""
     stats = counters if counters is not None else {}
     stats.setdefault("loops_rotated", 0)
-    rotated = 0
+    if cfg is None:
+        cfg = ControlFlowGraph.from_program(program)
+    entry = program.entry_block_name() if program.blocks else ""
     while True:
-        entry = program.entry_block_name() if program.blocks else ""
+        loops = find_counted_loops(program, cfg)
         candidates = [
             loop
-            for loop in find_counted_loops(program).values()
+            for loop in loops.values()
             if loop.form == "while"
             and loop.trip_count >= 1
             and loop.header != entry
         ]
         if not candidates:
-            return rotated
-        _rotate_one(program, candidates[0])
-        rotated += 1
+            return cfg, loops
+        _rotate_one(program, candidates[0], cfg)
+        cfg = ControlFlowGraph.from_program(program)
         stats["loops_rotated"] += 1
 
 
@@ -395,8 +401,6 @@ def _count_data_path_matches(expr: IRNode, patterns: Tuple[Op, Op]) -> int:
         if not in_address and node in patterns:
             count += 1
             continue
-        from repro.ir.expr import ArrayRef
-
         if isinstance(node, ArrayRef):
             stack.append((node.index, True))
             continue
@@ -408,8 +412,6 @@ def _count_data_path_matches(expr: IRNode, patterns: Tuple[Op, Op]) -> int:
 def _replace_matches(expr: IRNode, patterns: Tuple[Op, Op], temp: str) -> IRNode:
     """``expr`` with every pattern occurrence (address contexts included)
     replaced by a read of ``temp``."""
-    from repro.ir.expr import ArrayRef
-
     if expr in patterns:
         return VarRef(temp)
     if isinstance(expr, ArrayRef):
@@ -423,26 +425,25 @@ def _replace_matches(expr: IRNode, patterns: Tuple[Op, Op], temp: str) -> IRNode
 
 
 def strength_reduce(
-    program: Program, counters: Optional[Dict[str, int]] = None
+    program: Program,
+    counters: Optional[Dict[str, int]] = None,
+    loops: Optional[Dict[str, CountedLoop]] = None,
+    reserved: Optional[Set[str]] = None,
 ) -> int:
     """Replace ``i * k`` products of counted-loop induction variables by
     incrementally maintained ``__sr*`` temporaries (mutating ``program``).
-    Returns the number of occurrences rewritten."""
+    ``loops`` is the program's current counted-loop recognition
+    (recomputed when omitted); ``reserved`` is the run's shared name set
+    (see :func:`~repro.opt.cse.temp_allocator`).  Returns the number of
+    occurrences rewritten."""
     stats = counters if counters is not None else {}
     stats.setdefault("strength_reductions", 0)
-    reserved = set(program.all_variables()) | set(program.scalars)
-    serial = [0]
-
-    def alloc_temp() -> str:
-        while True:
-            name = "%s%d" % (SR_TEMP_PREFIX, serial[0])
-            serial[0] += 1
-            if name not in reserved:
-                reserved.add(name)
-                return name
+    if loops is None:
+        loops = find_counted_loops(program)
+    alloc_temp = temp_allocator(SR_TEMP_PREFIX, program, reserved)
 
     reduced = 0
-    for loop in find_counted_loops(program).values():
+    for loop in loops.values():
         if loop.step is None:
             continue
         body = program.block(loop.latch)
@@ -538,9 +539,12 @@ def _candidate_factors(expr: IRNode, induction: str) -> Set[int]:
 # ---------------------------------------------------------------------------
 
 
-def annotate_hardware_loops(program: Program) -> Dict[str, HardwareLoop]:
+def annotate_hardware_loops(
+    program: Program, cfg: Optional[ControlFlowGraph] = None
+) -> Dict[str, HardwareLoop]:
     """Hardware-loop annotations for every counted single-block self-loop
-    of the (final, optimized) program.
+    of the (final, optimized) program (``cfg``: its CFG, built when
+    omitted).
 
     The annotation promises: every entry into the latch block executes
     its body exactly ``trip_count`` times before control leaves through
@@ -550,7 +554,7 @@ def annotate_hardware_loops(program: Program) -> Dict[str, HardwareLoop]:
     replace the conditional branch by a repeat instruction without
     consulting the condition at runtime."""
     annotations: Dict[str, HardwareLoop] = {}
-    for loop in find_counted_loops(program).values():
+    for loop in find_counted_loops(program, cfg).values():
         if loop.form != "self":
             continue
         body = program.block(loop.latch)

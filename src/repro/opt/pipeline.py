@@ -10,26 +10,34 @@ elimination) -- over an IR :class:`~repro.ir.Program` and returns a
 *fresh* optimized program plus an :class:`OptStats` record.  The default
 stage list runs all of them.
 
-After a run that included the ``loops`` stage, counted single-block
-self-loops of the result carry :class:`~repro.ir.program.HardwareLoop`
-annotations in ``Program.hw_loops``, the hook the backend's
-zero-overhead repeat lowering keys on.
+After a run that included the ``loops`` stage, or whose input already
+carried annotations, counted single-block self-loops of the result carry
+:class:`~repro.ir.program.HardwareLoop` annotations in
+``Program.hw_loops`` -- re-derived from the result, never carried over
+-- the hook the backend's zero-overhead repeat lowering keys on.
 
-Copy hygiene is part of the contract: the returned program never shares
-statement or expression objects with the input (mirroring the
-``code.instances`` aliasing rules of the pass pipeline), so callers may
-mutate either side freely.  The pipeline is target-independent; passing
+Copy hygiene is part of the contract: exactly one copy is made per run,
+on entry (a leading ``fold`` stage's rebuild is that copy), and every
+later stage rewrites this working program in place.  The returned
+program therefore never shares statement or expression objects with the
+input (mirroring the ``code.instances`` aliasing rules of the pass
+pipeline), so callers may mutate either side freely.  Observers see the
+live working program and must copy it to keep it, as ``repro opt``
+does.  The CFG is analysed once on entry: a program without a retreating
+edge skips the loop stages.  The pipeline is target-independent; passing
 the target grammar's operator vocabulary as ``supported_ops`` merely
 gates operator-introducing rewrites (see :mod:`repro.opt.fold`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.cfg import ControlFlowGraph
 from repro.diagnostics import ReproError
 from repro.ir.program import BasicBlock, CBranch, Program, Statement
+from repro.obs.trace import current_tracer
 from repro.opt.cse import (
     MIN_OCCURRENCES,
     MIN_OPS,
@@ -91,45 +99,15 @@ class OptStats:
         return self.nodes_removed / self.nodes_before
 
     def to_dict(self) -> dict:
-        return {
-            "nodes_before": self.nodes_before,
-            "nodes_after": self.nodes_after,
-            "statements_before": self.statements_before,
-            "statements_after": self.statements_after,
-            "folds": self.folds,
-            "algebraic": self.algebraic,
-            "cse_hits": self.cse_hits,
-            "licm_hoisted": self.licm_hoisted,
-            "strength_reductions": self.strength_reductions,
-            "loops_rotated": self.loops_rotated,
-            "hw_loops": self.hw_loops,
-            "temps_introduced": self.temps_introduced,
-            "dead_removed": self.dead_removed,
-            "rewrites": dict(self.rewrites),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["rewrites"] = dict(self.rewrites)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptStats":
-        return cls(
-            nodes_before=data.get("nodes_before", 0),
-            nodes_after=data.get("nodes_after", 0),
-            statements_before=data.get("statements_before", 0),
-            statements_after=data.get("statements_after", 0),
-            folds=data.get("folds", 0),
-            algebraic=data.get("algebraic", 0),
-            cse_hits=data.get("cse_hits", 0),
-            licm_hoisted=data.get("licm_hoisted", 0),
-            strength_reductions=data.get("strength_reductions", 0),
-            loops_rotated=data.get("loops_rotated", 0),
-            hw_loops=data.get("hw_loops", 0),
-            temps_introduced=data.get("temps_introduced", 0),
-            dead_removed=data.get("dead_removed", 0),
-            rewrites=dict(data.get("rewrites", {})),
-        )
-
-
-def _program_nodes(program: Program) -> int:
-    return program.expression_node_count()
+        values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        values["rewrites"] = dict(data.get("rewrites", {}))
+        return cls(**values)
 
 
 def copy_program(program: Program) -> Program:
@@ -174,6 +152,31 @@ def copy_program(program: Program) -> Program:
     )
 
 
+def _fold_program(
+    program: Program, supported_ops: Optional[Set[str]], rewrites: Dict[str, int]
+) -> Program:
+    """A fresh program with every statement and branch condition folded."""
+    return Program(
+        name=program.name,
+        blocks=[
+            BasicBlock(
+                name=block.name,
+                statements=[
+                    fold_statement(
+                        statement, supported_ops=supported_ops, rewrites=rewrites
+                    )
+                    for statement in block.statements
+                ],
+                terminator=_fold_terminator(block.terminator, rewrites=rewrites),
+            )
+            for block in program.blocks
+        ],
+        scalars=list(program.scalars),
+        arrays=dict(program.arrays),
+        entry=program.entry,
+    )
+
+
 def _fold_terminator(terminator, rewrites=None):
     """A fresh terminator with a folded branch condition (``None`` and
     unconditional jumps pass through as fresh copies).
@@ -191,6 +194,16 @@ def _fold_terminator(terminator, rewrites=None):
         false_target=terminator.false_target,
     )
 
+
+#: The :class:`OptStats` counters the stages accumulate.
+_STAGE_COUNTERS = (
+    "cse_hits",
+    "temps_introduced",
+    "dead_removed",
+    "loops_rotated",
+    "strength_reductions",
+    "licm_hoisted",
+)
 
 #: Stages that materialize compiler temporaries.  When any of them is in
 #: a run's stage list, ``dce`` removes exactly the temporaries that run
@@ -236,9 +249,10 @@ class OptPipeline:
         """Optimize ``program`` and return ``(fresh program, stats)``.
 
         ``observer`` (when given) is called as ``observer(stage,
-        program)`` after each stage with the stage's result -- the CLI's
-        per-stage diff rendering hook.  Observers must not mutate the
-        program they are shown."""
+        program)`` after each stage with the live working program --
+        the CLI's per-stage diff rendering hook.  Later stages rewrite
+        that program in place, so an observer that keeps it must copy it
+        (:func:`copy_program`); observers must never mutate it."""
         from repro.opt.licm import hoist_loop_invariants
         from repro.opt.loops import (
             annotate_hardware_loops,
@@ -246,105 +260,88 @@ class OptPipeline:
             strength_reduce,
         )
 
-        stats = OptStats(
-            nodes_before=_program_nodes(program),
-            statements_before=program.statement_count(),
-        )
-        counters: Dict[str, int] = {
-            "cse_hits": 0,
-            "temps_introduced": 0,
-            "dead_removed": 0,
-            "loops_rotated": 0,
-            "strength_reductions": 0,
-            "licm_hoisted": 0,
-        }
-        current = program
-        produced_fresh = False
+        rewrites: Dict[str, int] = {}
+        counters = dict.fromkeys(_STAGE_COUNTERS, 0)
+        # The run's only copy: a leading fold rebuilds every statement
+        # fresh anyway; otherwise copy on entry.  Every other stage
+        # rewrites the working program in place.
+        if self.stages[:1] == ("fold",):
+            current = program
+        else:
+            current = copy_program(program)
+        # One CFG for the run: fold, cse and dce never change edges, so
+        # it stays exact until a loop stage reshapes the CFG.  Without a
+        # retreating edge there is no loop, and the loop stages and the
+        # hardware-loop annotation have nothing to do.
+        cfg = ControlFlowGraph.from_program(program)
+        cyclic = cfg.has_retreating_edge()
+        # Names every temporary must avoid, shared by the stages'
+        # allocators and filled on the run's first allocation.
+        reserved: Set[str] = set()
         # Temporaries materialized by this run's stages; dead-temp
         # elimination removes only these, never a user variable that
         # happens to share a prefix.
         introduced_temps: Set[str] = set()
+        tracer = current_tracer()
         for stage in self.stages:
-            if stage == "fold":
-                current = Program(
-                    name=current.name,
-                    blocks=[
-                        BasicBlock(
-                            name=block.name,
-                            statements=[
-                                fold_statement(
-                                    statement,
-                                    supported_ops=supported_ops,
-                                    rewrites=stats.rewrites,
-                                )
-                                for statement in block.statements
-                            ],
-                            terminator=_fold_terminator(
-                                block.terminator, rewrites=stats.rewrites
-                            ),
-                        )
-                        for block in current.blocks
-                    ],
-                    scalars=list(current.scalars),
-                    arrays=dict(current.arrays),
-                    entry=current.entry,
-                )
-                produced_fresh = True
-            elif stage == "loops":
-                current = copy_program(current)
-                scalars_before = set(current.scalars)
-                rotate_counted_loops(current, counters)
-                strength_reduce(current, counters)
-                introduced_temps |= set(current.scalars) - scalars_before
-                produced_fresh = True
-            elif stage == "licm":
-                current = copy_program(current)
-                introduced_temps |= hoist_loop_invariants(current, counters)
-                produced_fresh = True
-            elif stage == "cse":
-                scalars_before = set(current.scalars)
-                current = eliminate_common_subexpressions(
-                    current,
-                    min_occurrences=self.min_cse_occurrences,
-                    min_ops=self.min_cse_ops,
-                    temp_prefix=self.temp_prefix,
-                    counters=counters,
-                )
-                introduced_temps |= set(current.scalars) - scalars_before
-                produced_fresh = True
-            elif stage == "dce":
-                # DCE reuses surviving statement objects; freshness comes
-                # from an earlier stage or the final copy below.  With a
-                # materializing stage in this run, only its temps are
-                # removable (a user scalar named "__cse0" is safe);
-                # without one, fall back to the documented standalone
-                # prefix semantics so "--stages dce" is not a no-op.
-                standalone = not any(
-                    name in self.stages for name in _MATERIALIZING_STAGES
-                )
-                current = eliminate_dead_temporaries(
-                    current,
-                    temp_prefix=self.temp_prefix,
-                    counters=counters,
-                    temps=None if standalone else introduced_temps,
-                )
+            with tracer.span("opt:" + stage):
+                if stage == "fold":
+                    current = _fold_program(current, supported_ops, rewrites)
+                elif stage == "loops" and cyclic:
+                    scalars_before = set(current.scalars)
+                    cfg, loops = rotate_counted_loops(current, counters, cfg)
+                    strength_reduce(current, counters, loops, reserved)
+                    introduced_temps |= set(current.scalars) - scalars_before
+                elif stage == "licm" and cyclic:
+                    block_count = len(current.blocks)
+                    introduced_temps |= hoist_loop_invariants(
+                        current, counters, cfg=cfg, reserved=reserved
+                    )
+                    if len(current.blocks) != block_count:
+                        cfg = ControlFlowGraph.from_program(current)
+                elif stage == "cse":
+                    introduced_temps |= eliminate_common_subexpressions(
+                        current,
+                        min_occurrences=self.min_cse_occurrences,
+                        min_ops=self.min_cse_ops,
+                        temp_prefix=self.temp_prefix,
+                        counters=counters,
+                        reserved=reserved,
+                    )
+                elif stage == "dce":
+                    # With a materializing stage in this run, only its
+                    # temps are removable (a user scalar named "__cse0"
+                    # is safe); without one, fall back to the documented
+                    # standalone prefix semantics so "--stages dce" is
+                    # not a no-op.
+                    standalone = not any(
+                        name in self.stages for name in _MATERIALIZING_STAGES
+                    )
+                    eliminate_dead_temporaries(
+                        current,
+                        temp_prefix=self.temp_prefix,
+                        counters=counters,
+                        temps=None if standalone else introduced_temps,
+                    )
             if observer is not None:
                 observer(stage, current)
-        if not produced_fresh:
-            current = copy_program(current)
-        if "loops" in self.stages:
-            current.hw_loops = annotate_hardware_loops(current)
-            stats.hw_loops = len(current.hw_loops)
-        stats.folds, stats.algebraic = split_rewrite_counts(stats.rewrites)
-        stats.cse_hits = counters["cse_hits"]
-        stats.licm_hoisted = counters["licm_hoisted"]
-        stats.strength_reductions = counters["strength_reductions"]
-        stats.loops_rotated = counters["loops_rotated"]
-        stats.temps_introduced = counters["temps_introduced"]
-        stats.dead_removed = counters["dead_removed"]
-        stats.nodes_after = _program_nodes(current)
-        stats.statements_after = current.statement_count()
-        return current, stats
+        # Annotations are re-derived, never carried: any stage may have
+        # changed a loop body.  They are kept whenever the input had
+        # some or the loop stage ran.
+        if "loops" in self.stages or program.hw_loops:
+            current.hw_loops = annotate_hardware_loops(current, cfg) if cyclic else {}
+        folds, algebraic = split_rewrite_counts(rewrites)
+        return current, OptStats(
+            nodes_before=program.expression_node_count(),
+            nodes_after=current.expression_node_count(),
+            statements_before=program.statement_count(),
+            statements_after=current.statement_count(),
+            folds=folds,
+            algebraic=algebraic,
+            hw_loops=len(current.hw_loops),
+            rewrites=rewrites,
+            **counters,
+        )
 
 
 def optimize_program(

@@ -38,7 +38,7 @@ import heapq
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.grammar.grammar import PatNonterm, PatTerm, Rule, TreeGrammar
 
@@ -126,6 +126,34 @@ def chain_closure_from(
     return tuple(entries)
 
 
+def introducible_ops(grammar: TreeGrammar) -> set:
+    """Operator signatures the optimizer may *introduce* on this target.
+
+    Operator presence in the terminal vocabulary is not enough: target
+    grammars frequently support a shifter only with hard-wired amounts
+    (e.g. ``shl(x, Const(1))`` from an ``x + x`` datapath), so a
+    ``mul x 8 -> shl x 3`` rewrite would make a coverable tree
+    uncoverable.  This scans the RT rule patterns and returns precise
+    signatures: ``"shl"`` when the shift amount is an arbitrary constant
+    operand, ``"shl:1"`` when only the amount 1 is hard-wired.  The scan
+    runs once per grammar, in :meth:`GrammarTables.build`.
+    """
+    signatures = set()
+    for rule in grammar.rules:
+        pattern = rule.pattern
+        if not isinstance(pattern, PatTerm) or pattern.name not in ("shl", "shr"):
+            continue
+        if len(pattern.operands) != 2:
+            continue
+        amount = pattern.operands[1]
+        if isinstance(amount, PatTerm) and amount.name == "Const":
+            if amount.value is None:
+                signatures.add(pattern.name)
+            else:
+                signatures.add("%s:%d" % (pattern.name, amount.value))
+    return signatures
+
+
 @dataclass
 class GrammarTables:
     """Matcher tables derived offline from one tree grammar."""
@@ -143,6 +171,9 @@ class GrammarTables:
     programs_by_op: List[Tuple[MatchProgram, ...]] = field(default_factory=list)
     # Precomputed chain closure, per source non-terminal.
     chain_closure: Dict[str, Tuple[ClosureEntry, ...]] = field(default_factory=dict)
+    #: Operator signatures the IR optimizer may introduce on this target
+    #: (see :func:`introducible_ops`).
+    introducible_ops: FrozenSet[str] = frozenset()
     #: Wall-clock seconds spent building these tables (the ``tables``
     #: retargeting phase).
     build_time_s: float = 0.0
@@ -192,6 +223,7 @@ class GrammarTables:
             closure = chain_closure_from(source, tables.chain_rules_by_source)
             if closure:
                 tables.chain_closure[source] = closure
+        tables.introducible_ops = frozenset(introducible_ops(grammar))
         return tables
 
     # -- lookups ---------------------------------------------------------------

@@ -12,7 +12,7 @@ abstracts "a thing that executes compile-job dicts" behind
   backend interface (single-core, zero startup cost);
 * :class:`ProcessCompileBackend` -- a pool of worker *processes*.  The
   parent prewarms a shared disk-tier
-  :class:`~repro.toolchain.cache.RetargetCache` (the v2 pickle format,
+  :class:`~repro.toolchain.cache.RetargetCache` (the versioned pickle format,
   which already ships pre-built ``GrammarTables``); each worker opens
   that directory read-only, so workers never re-retarget.  Jobs and
   results travel as the existing :class:`~repro.service.api`
@@ -247,7 +247,7 @@ def _worker_main(
     """Worker-process entry point.
 
     Builds a :class:`~repro.service.pool.SessionPool` whose retarget
-    cache reads the parent's prewarmed spool directory (v2 pickles,
+    cache reads the parent's prewarmed spool directory (versioned pickles,
     shared read-only -- the worker only regenerates the tiny matcher
     module), reports ready, then serves JSON frames off the pipe until
     EOF or a shutdown frame.  Every result frame piggybacks the
@@ -471,7 +471,7 @@ class ProcessCompileBackend(CompileBackend):
 
     def _prewarm_shared_cache(self) -> None:
         """Retarget every warm target once into the shared disk cache
-        (the v2 pickles the workers will map in read-only)."""
+        (the pickles the workers will map in read-only)."""
         if not self.warm_targets:
             return
         from repro.toolchain import RetargetCache, default_registry

@@ -231,35 +231,6 @@ class Pass:
         return "<%s %r>" % (type(self).__name__, self.name)
 
 
-def introducible_ops(grammar) -> set:
-    """Operator signatures the optimizer may *introduce* on this target.
-
-    Operator presence in the terminal vocabulary is not enough: target
-    grammars frequently support a shifter only with hard-wired amounts
-    (e.g. ``shl(x, Const(1))`` from an ``x + x`` datapath), so a
-    ``mul x 8 -> shl x 3`` rewrite would make a coverable tree
-    uncoverable.  This scans the RT rule patterns and returns precise
-    signatures: ``"shl"`` when the shift amount is an arbitrary constant
-    operand, ``"shl:1"`` when only the amount 1 is hard-wired.
-    """
-    from repro.grammar.grammar import PatTerm
-
-    signatures = set()
-    for rule in grammar.rules:
-        pattern = rule.pattern
-        if not isinstance(pattern, PatTerm) or pattern.name not in ("shl", "shr"):
-            continue
-        if len(pattern.operands) != 2:
-            continue
-        amount = pattern.operands[1]
-        if isinstance(amount, PatTerm) and amount.name == "Const":
-            if amount.value is None:
-                signatures.add(pattern.name)
-            else:
-                signatures.add("%s:%d" % (pattern.name, amount.value))
-    return signatures
-
-
 class OptimizationPass(Pass):
     """IR optimization ahead of selection: constant folding, algebraic
     rewriting, cross-statement CSE and dead-temporary elimination.
@@ -268,8 +239,9 @@ class OptimizationPass(Pass):
     optimizer guarantees no statement/expression aliasing with the
     input).  The rewrite itself is target-independent; the target's
     grammar only *gates* operator-introducing strength reductions (see
-    :func:`introducible_ops`), so a ``mul x 2`` never becomes a shift
-    the processor cannot execute.
+    :attr:`~repro.selector.tables.GrammarTables.introducible_ops`,
+    computed once per grammar at retarget time), so a ``mul x 2`` never
+    becomes a shift the processor cannot execute.
     """
 
     name = "opt"
@@ -281,7 +253,7 @@ class OptimizationPass(Pass):
         supported_ops = None
         selector = context.selector
         if selector is not None:
-            supported_ops = introducible_ops(selector.grammar)
+            supported_ops = selector.tables.introducible_ops
         program, stats = self.pipeline.run(
             state.program, supported_ops=supported_ops
         )

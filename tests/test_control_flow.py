@@ -181,8 +181,8 @@ class TestOptimizerOnCFG:
             ],
             scalars=["a", "b", "y", "__cse0"],
         )
-        cleaned = eliminate_dead_temporaries(program)
-        assert len(cleaned.blocks[0].statements) == 1
+        assert eliminate_dead_temporaries(program) == 0
+        assert len(program.blocks[0].statements) == 1
 
     def test_dce_removes_never_read_temp_in_cfg(self):
         from repro.ir.program import BasicBlock, Jump, Program, Statement
@@ -200,8 +200,8 @@ class TestOptimizerOnCFG:
             ],
             scalars=["a", "y", "__cse0"],
         )
-        cleaned = eliminate_dead_temporaries(program)
-        assert cleaned.blocks[0].statements == []
+        assert eliminate_dead_temporaries(program) == 1
+        assert program.blocks[0].statements == []
 
     def test_branch_condition_counts_as_use(self):
         from repro.ir.program import BasicBlock, CBranch, Program, Statement
@@ -223,8 +223,8 @@ class TestOptimizerOnCFG:
             ],
             scalars=["a", "__cse0"],
         )
-        cleaned = eliminate_dead_temporaries(program)
-        assert len(cleaned.blocks[0].statements) == 1
+        assert eliminate_dead_temporaries(program) == 0
+        assert len(program.blocks[0].statements) == 1
 
 
 class TestBackendCFG:

@@ -10,10 +10,12 @@ integration (``opt`` pass, ``--no-opt``, ``repro opt``).
 
 import pytest
 
+from repro.dspstone import kernel_program
 from repro.frontend.lowering import lower_to_program
+from repro.fuzz.generator import LOOP_HEAVY_CONFIG, generate_source
 from repro.ir import WORD_BITS, wrap_word
 from repro.ir.expr import Const, Op, PortInput, VarRef, evaluate_expr, expr_size
-from repro.ir.program import BasicBlock, Program, Statement
+from repro.ir.program import BasicBlock, CBranch, Program, Statement
 from repro.opt import (
     OptimizationError,
     OptPipeline,
@@ -41,6 +43,81 @@ def _program(statements, scalars, name="p", arrays=None):
 
 def _mul(a, b):
     return Op("mul", (a, b))
+
+
+#: Programs the copy-hygiene tests optimize: straight-line code, a loop
+#: kernel, and a loop-heavy fuzz program where rotation, LICM and CSE
+#: all fire.  Each call builds a fresh program.
+ALIASING_INPUTS = {
+    "straight_line": lambda: lower_to_program(
+        "int a, b, y0, y1;\ny0 = a * b + a;\ny1 = a * b + a;\n"
+    ),
+    "fir_loop": lambda: kernel_program("fir_loop"),
+    "loop_heavy": lambda: lower_to_program(
+        generate_source(3, LOOP_HEAVY_CONFIG), name="loop_heavy3"
+    ),
+}
+
+ALIASING_STAGE_LISTS = (
+    None,
+    [],
+    ["fold"],
+    ["loops"],
+    ["licm"],
+    ["cse"],
+    ["dce"],
+    ["loops", "licm"],
+    ["cse", "dce"],
+)
+
+
+def _ir_object_ids(program):
+    """Ids of every mutable or IR object reachable from ``program``:
+    containers, blocks, statements, terminators and expression nodes
+    (right-hand sides, store indices, branch conditions)."""
+    ids = {id(program.blocks), id(program.scalars), id(program.arrays)}
+    ids.add(id(program.hw_loops))
+    roots = []
+    for block in program.blocks:
+        ids.update((id(block), id(block.statements)))
+        for statement in block.statements:
+            ids.add(id(statement))
+            roots.append(statement.expression)
+            if statement.destination_index is not None:
+                roots.append(statement.destination_index)
+        if block.terminator is not None:
+            ids.add(id(block.terminator))
+            if isinstance(block.terminator, CBranch):
+                roots.append(block.terminator.condition)
+    while roots:
+        node = roots.pop()
+        ids.add(id(node))
+        roots.extend(node.children())
+    return ids
+
+
+def _render(program):
+    return (
+        [
+            (block.name, [str(s) for s in block.statements], str(block.terminator))
+            for block in program.blocks
+        ],
+        list(program.scalars),
+        dict(program.hw_loops),
+    )
+
+
+def _scramble(program):
+    """Mutate every layer of ``program`` in place."""
+    for block in program.blocks:
+        for statement in block.statements:
+            statement.destination = "scrambled"
+            statement.expression = Const(0)
+        block.statements.append(Statement("z", Const(1)))
+        block.terminator = None
+    program.blocks.append(BasicBlock(name="extra"))
+    program.scalars.append("z")
+    program.hw_loops.clear()
 
 
 def _add(a, b):
@@ -274,15 +351,16 @@ class TestCSE:
             scalars=["a", "b", "c", "d", "e", "f", "y0", "y1"],
         )
         counters = {}
-        optimized = eliminate_common_subexpressions(program, counters=counters)
-        statements = optimized.blocks[0].statements
+        temps = eliminate_common_subexpressions(program, counters=counters)
+        assert temps == {"__cse0"}
+        statements = program.blocks[0].statements
         assert len(statements) == 3
         assert statements[0].destination == "__cse0"
         assert structurally_equal(statements[0].expression, self._shared())
         assert statements[1].expression == _add(VarRef("__cse0"), VarRef("e"))
         assert counters["temps_introduced"] == 1
         assert counters["cse_hits"] == 2
-        assert "__cse0" in optimized.scalars
+        assert "__cse0" in program.scalars
 
     def test_write_hazard_blocks_cse(self):
         program = _program(
@@ -293,10 +371,10 @@ class TestCSE:
             ],
             scalars=["a", "b", "c", "d", "e", "y0", "y1"],
         )
-        optimized = eliminate_common_subexpressions(program)
+        assert eliminate_common_subexpressions(program) == set()
         assert all(
             not s.destination.startswith("__cse")
-            for s in optimized.blocks[0].statements
+            for s in program.blocks[0].statements
         )
 
     def test_small_and_rare_nodes_are_not_materialized(self):
@@ -308,8 +386,8 @@ class TestCSE:
             ],
             scalars=["a", "b", "y0", "y1"],
         )
-        optimized = eliminate_common_subexpressions(program)
-        assert len(optimized.blocks[0].statements) == 2
+        assert eliminate_common_subexpressions(program) == set()
+        assert len(program.blocks[0].statements) == 2
 
     def test_port_reading_subexpressions_are_never_materialized(self):
         shared = lambda: _add(  # noqa: E731
@@ -319,8 +397,8 @@ class TestCSE:
             [Statement("y0", shared()), Statement("y1", shared())],
             scalars=["b", "c", "y0", "y1"],
         )
-        optimized = eliminate_common_subexpressions(program)
-        assert len(optimized.blocks[0].statements) == 2
+        assert eliminate_common_subexpressions(program) == set()
+        assert len(program.blocks[0].statements) == 2
 
     def test_within_statement_duplicates_are_shared(self):
         shared = self._shared()
@@ -328,8 +406,8 @@ class TestCSE:
             [Statement("y0", _mul(self._shared(), self._shared()))],
             scalars=["a", "b", "c", "d", "y0"],
         )
-        optimized = eliminate_common_subexpressions(program)
-        statements = optimized.blocks[0].statements
+        eliminate_common_subexpressions(program)
+        statements = program.blocks[0].statements
         assert len(statements) == 2
         assert statements[0].destination == "__cse0"
         assert structurally_equal(statements[0].expression, shared)
@@ -345,8 +423,8 @@ class TestCSE:
             ],
             scalars=["a", "b", "c", "d", "e", "y0", "y1"],
         )
-        optimized = eliminate_common_subexpressions(program)
-        statements = optimized.blocks[0].statements
+        eliminate_common_subexpressions(program)
+        statements = program.blocks[0].statements
         # inner (__cse0) is defined before outer (__cse1) which reads it.
         assert [s.destination for s in statements[:2]] == ["__cse0", "__cse1"]
         assert structurally_equal(statements[0].expression, inner())
@@ -362,7 +440,9 @@ class TestCSE:
             ],
             scalars=["a", "b", "c", "d", "e", "y0", "y1", "y2"],
         )
-        optimized = eliminate_common_subexpressions(program)
+        optimized = copy_program(program)
+        eliminate_common_subexpressions(optimized)
+        assert optimized.statement_count() > program.statement_count()
         for seed in range(5):
             env = {
                 name: (seed * 31 + i * 17 + 3) % 257
@@ -385,13 +465,13 @@ class TestDCE:
             scalars=["a", "b", "c", "y", "__cse0", "__cse1"],
         )
         counters = {}
-        cleaned = eliminate_dead_temporaries(program, counters=counters)
-        assert [s.destination for s in cleaned.blocks[0].statements] == [
+        assert eliminate_dead_temporaries(program, counters=counters) == 1
+        assert [s.destination for s in program.blocks[0].statements] == [
             "__cse0",
             "y",
         ]
         assert counters["dead_removed"] == 1
-        assert "__cse1" not in cleaned.scalars
+        assert "__cse1" not in program.scalars
 
     def test_user_destinations_are_never_removed(self):
         program = _program(
@@ -401,8 +481,8 @@ class TestDCE:
             ],
             scalars=["a", "b", "dead", "y"],
         )
-        cleaned = eliminate_dead_temporaries(program)
-        assert len(cleaned.blocks[0].statements) == 2
+        assert eliminate_dead_temporaries(program) == 0
+        assert len(program.blocks[0].statements) == 2
 
     def test_temp_chains_are_removed_transitively(self):
         program = _program(
@@ -412,8 +492,8 @@ class TestDCE:
             ],
             scalars=["a", "b", "c", "__cse0", "__cse1"],
         )
-        cleaned = eliminate_dead_temporaries(program)
-        assert cleaned.blocks[0].statements == []
+        assert eliminate_dead_temporaries(program) == 2
+        assert program.blocks[0].statements == []
 
 
 # ---------------------------------------------------------------------------
@@ -456,47 +536,33 @@ class TestOptPipeline:
         assert folded.statement_count() == 2
         assert cse_only.statement_count() >= 3
 
-    def test_optimizer_output_never_aliases_the_input(self):
-        program = lower_to_program(
-            "int a, b, y0, y1;\ny0 = a * b + a;\ny1 = a * b + a;\n"
-        )
-        for stages in (None, ["fold"], ["cse"], ["dce"], []):
+    @pytest.mark.parametrize("name", sorted(ALIASING_INPUTS))
+    def test_optimizer_output_never_aliases_the_input(self, name):
+        for stages in ALIASING_STAGE_LISTS:
+            program = ALIASING_INPUTS[name]()
             optimized, _stats = optimize_program(program, stages=stages)
             assert optimized is not program
-            input_statements = {
-                id(s) for block in program.blocks for s in block.statements
-            }
-            input_exprs = set()
-            for block in program.blocks:
-                for statement in block.statements:
-                    stack = [statement.expression]
-                    while stack:
-                        node = stack.pop()
-                        input_exprs.add(id(node))
-                        stack.extend(node.children())
-            for block in optimized.blocks:
-                assert block is not program.blocks[0]
-                for statement in block.statements:
-                    assert id(statement) not in input_statements
-                    stack = [statement.expression]
-                    while stack:
-                        node = stack.pop()
-                        assert id(node) not in input_exprs, stages
-                        stack.extend(node.children())
+            shared = _ir_object_ids(program) & _ir_object_ids(optimized)
+            assert not shared, stages
 
-    def test_mutation_isolation_regression(self):
+    @pytest.mark.parametrize("name", sorted(ALIASING_INPUTS))
+    def test_mutation_isolation_regression(self, name):
         # Mutating the input program after optimization must not leak
         # into the optimized program, and vice versa (the PR 1
-        # ``code.instances`` aliasing fix, at the IR level).
-        program = lower_to_program("int a, b, y;\ny = a * b + a;\n")
-        optimized, _stats = optimize_program(program)
-        before = [str(s) for s in optimized.blocks[0].statements]
-        program.blocks[0].statements[0].destination = "mutated"
-        program.blocks[0].statements.append(Statement("z", Const(1)))
-        program.scalars.append("z")
-        assert [str(s) for s in optimized.blocks[0].statements] == before
-        optimized.blocks[0].statements[0].destination = "other"
-        assert program.blocks[0].statements[0].destination == "mutated"
+        # ``code.instances`` aliasing fix, at the IR level).  The
+        # optimizer rewrites one working copy in place, so this must
+        # hold for loop programs and every stage subset.
+        for stages in ALIASING_STAGE_LISTS:
+            program = ALIASING_INPUTS[name]()
+            original = _render(program)
+            optimized, _stats = optimize_program(program, stages=stages)
+            assert _render(program) == original, stages
+            before = _render(optimized)
+            _scramble(program)
+            assert _render(optimized) == before, stages
+            scrambled_input = _render(program)
+            _scramble(optimized)
+            assert _render(program) == scrambled_input, stages
 
     def test_copy_program_is_deep(self):
         program = lower_to_program("int a, y;\ny = a + 1;\n")
@@ -651,11 +717,9 @@ class TestOptimizationPassIntegration:
     def test_strength_reduction_only_on_coverable_shapes(
         self, tms_result, ref_result
     ):
-        from repro.toolchain.passes import introducible_ops
-
         # tms320c25 covers mul-by-const but has no shifter rules at all:
         # mul-by-8 must stay a multiply and keep compiling.
-        assert introducible_ops(tms_result.grammar) == set()
+        assert tms_result.selector.tables.introducible_ops == set()
         source8 = "int a, y;\ny = a * 8;\n"
         compiled = Session(tms_result).compile(source8)
         assert compiled.code_size > 0
@@ -663,7 +727,7 @@ class TestOptimizationPassIntegration:
         # ref only hardwires shift-by-one (an x + x datapath): mul-by-2
         # strength-reduces, mul-by-8 must NOT (shl-by-3 is uncoverable
         # there even though "shl" is in the vocabulary).
-        assert introducible_ops(ref_result.grammar) == {"shl:1"}
+        assert ref_result.selector.tables.introducible_ops == {"shl:1"}
         for source in (source8, "int a, y;\ny = a * 2;\n"):
             ref_opt = Session(ref_result).compile(source)
             ref_raw = Session(

@@ -25,7 +25,14 @@ from repro.analysis.loops import (
 from repro.dspstone import kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
 from repro.fuzz.generator import LOOP_HEAVY_CONFIG, generate_source
-from repro.ir.program import BasicBlock, CBranch, Jump, Program, Statement
+from repro.ir.program import (
+    BasicBlock,
+    CBranch,
+    HardwareLoop,
+    Jump,
+    Program,
+    Statement,
+)
 from repro.ir.expr import Const, Op, VarRef
 from repro.opt import OPT_TEMP_PREFIXES, OptPipeline, optimize_program
 from repro.opt.loops import annotate_hardware_loops, find_counted_loops
@@ -481,15 +488,106 @@ class TestHardwareLoopsEndToEnd:
             simulated = _observable(result.simulate(dict(environment)))
             assert simulated["z"] == reference["z"] == 12
 
+    @pytest.mark.parametrize(
+        "stages", [[]] + [[stage] for stage in OptPipeline.STAGES]
+    )
+    def test_every_stage_list_keeps_hardware_loop_annotations(self, stages):
+        # Re-optimizing an annotated program re-derives its annotations
+        # whatever the stage list: no stage may drop them.
+        optimized, _stats = optimize_program(kernel_program("fir_loop"))
+        assert set(optimized.hw_loops) == {"L2_body"}
+        again, stats = OptPipeline(stages=stages).run(optimized)
+        assert again.hw_loops == optimized.hw_loops
+        assert again.hw_loops is not optimized.hw_loops
+        assert stats.hw_loops == len(again.hw_loops)
+
+    def test_annotations_are_rederived_not_carried(self):
+        # A stale annotation on a program with no counted loop is dropped.
+        program = kernel_program("fir")
+        program.hw_loops = {
+            "entry": HardwareLoop(latch="entry", trip_count=3, kind="rpt")
+        }
+        optimized, stats = OptPipeline(stages=["cse"]).run(program)
+        assert optimized.hw_loops == {}
+        assert stats.hw_loops == 0
+
 
 class TestPipelineObserver:
-    def test_observer_sees_every_stage_in_order(self):
-        program = kernel_program("fir_loop")
+    @pytest.mark.parametrize("kernel", ["fir_loop", "fir"])
+    def test_observer_sees_every_stage_in_order(self, kernel):
+        # "fir" is straight-line: the loop stages are skipped on an
+        # acyclic CFG, but the observer still sees every stage.
+        program = kernel_program(kernel)
         seen = []
         OptPipeline().run(
             program, observer=lambda stage, prog: seen.append(stage)
         )
         assert tuple(seen) == OptPipeline.DEFAULT_STAGES
+
+    def test_stages_emit_child_spans_under_the_opt_pass(self, tms_result):
+        from repro.obs.trace import Tracer, use_tracer
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            Session(tms_result).compile_program(kernel_program("fir_loop"))
+        spans = tracer.spans()
+        opt_pass = [span for span in spans if span.name == "pass:opt"]
+        assert len(opt_pass) == 1
+        children = [
+            span.name for span in spans if span.parent_id == opt_pass[0].span_id
+        ]
+        assert children == ["opt:%s" % stage for stage in OptPipeline.DEFAULT_STAGES]
+
+
+class TestAcyclicSkip:
+    def test_acyclic_programs_build_no_loop_forest(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("loop analysis on an acyclic CFG")
+
+        monkeypatch.setattr(ControlFlowGraph, "loop_forest", forbidden)
+        program = lower_to_program(
+            "int a, b, c, y;\nif (a < b) { y = a * b + c; } else { y = c; }\n",
+            name="branchy",
+        )
+        optimized, stats = optimize_program(program)
+        assert len(optimized.blocks) == len(program.blocks)
+        assert stats.loops_rotated == stats.licm_hoisted == stats.hw_loops == 0
+        _assert_same_execution(program, optimized)
+
+    def test_loop_analysis_runs_once_per_rotation(self, monkeypatch):
+        import repro.opt.loops as loops_module
+
+        calls = []
+        real = loops_module.find_counted_loops
+
+        def counting(program, cfg=None):
+            calls.append(cfg is not None)
+            return real(program, cfg)
+
+        monkeypatch.setattr(loops_module, "find_counted_loops", counting)
+        _optimized, stats = optimize_program(kernel_program("fir_loop"))
+        assert stats.loops_rotated == 1
+        # Rotation recognizes before and after its one rewrite; strength
+        # reduction reuses the last recognition; annotation recognizes
+        # the final program.  Every call reuses a CFG already built.
+        assert calls == [True, True, True]
+
+    def test_one_loop_forest_per_cfg(self, monkeypatch):
+        import repro.analysis.loops as loops_analysis
+
+        built = []
+        real = loops_analysis.loop_nesting_forest
+
+        def counting(cfg, idom=None):
+            built.append(cfg)
+            return real(cfg, idom)
+
+        monkeypatch.setattr(loops_analysis, "loop_nesting_forest", counting)
+        _optimized, stats = optimize_program(kernel_program("fir_loop"))
+        assert stats.loops_rotated == 1 and stats.licm_hoisted == 0
+        # One forest before rotation, one after it, shared by strength
+        # reduction, LICM and the hardware-loop annotation.
+        assert len(built) == len(set(map(id, built))) == 2
 
 
 class TestStatsInvariants:

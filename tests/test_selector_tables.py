@@ -4,6 +4,7 @@ import pickle
 
 from repro.grammar.grammar import PatNonterm, PatTerm, RuleKind, TreeGrammar
 from repro.selector import GrammarTables, StructurePool, chain_closure_from
+from repro.selector.tables import introducible_ops
 
 
 def _toy_grammar():
@@ -154,3 +155,46 @@ class TestBuildMetadata:
         assert clone.op_names == tables.op_names
         assert clone.stats() == tables.stats()
         assert [p.rule.index for p in clone.programs_for("add")] == [1, 2]
+
+
+class TestIntroducibleOps:
+    def test_hardwired_and_free_shift_amounts(self):
+        grammar = _toy_grammar()
+        grammar.terminals.update({"shl", "shr"})
+        grammar.add_rule(
+            "nt_ACC",
+            PatTerm("shl", (PatNonterm("nt_ACC"), PatTerm("Const", value=1))),
+            1,
+            RuleKind.RT,
+        )
+        grammar.add_rule(
+            "nt_ACC",
+            PatTerm("shr", (PatNonterm("nt_ACC"), PatTerm("Const"))),
+            1,
+            RuleKind.RT,
+        )
+        tables = GrammarTables.build(grammar)
+        assert tables.introducible_ops == {"shl:1", "shr"}
+        assert pickle.loads(pickle.dumps(tables)).introducible_ops == {"shl:1", "shr"}
+
+    def test_tables_precompute_the_scan_for_every_target(self, retarget_results):
+        assert len(retarget_results) == 6
+        for name, result in retarget_results.items():
+            tables = result.selector.tables
+            assert isinstance(tables.introducible_ops, frozenset), name
+            assert tables.introducible_ops == introducible_ops(result.grammar), name
+
+    def test_compiles_never_rescan_the_grammar(self, ref_result, monkeypatch):
+        import repro.selector.tables as tables_module
+        from repro.toolchain import Session
+
+        session = Session(ref_result)
+
+        def rescan(grammar):
+            raise AssertionError("grammar rescanned during a compile")
+
+        monkeypatch.setattr(tables_module, "introducible_ops", rescan)
+        # ref hard-wires shift-by-one: mul-by-2 still strength-reduces.
+        compiled = session.compile("int a, y;\ny = a * 2;\n")
+        assert compiled.metrics.opt_folds >= 1
+        assert compiled.simulate({"a": 5})["y"] == 10

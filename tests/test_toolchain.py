@@ -309,6 +309,26 @@ class TestRetargetCache:
         no_expansion = ExpansionOptions(use_commutativity=False, use_rewrite_rules=False)
         assert retarget_fingerprint(demo_hdl, expansion=no_expansion) != base
 
+    def test_format_2_entry_is_a_clean_miss(self, tmp_path, demo_hdl, monkeypatch):
+        # Format 2 pickled GrammarTables without ``introducible_ops``;
+        # loading one would silently read the empty class default and
+        # stop shift strength reduction.  Format 3 must never see it.
+        import repro.toolchain.cache as cache_module
+
+        assert cache_module.CACHE_FORMAT_VERSION == 3
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 2)
+        writer = RetargetCache(directory=tmp_path)
+        v2_result, _hit = writer.get_or_retarget(demo_hdl, generate_matcher=False)
+        del v2_result.selector.tables.introducible_ops
+        writer.put(retarget_fingerprint(demo_hdl), v2_result)
+        monkeypatch.undo()
+
+        reader = RetargetCache(directory=tmp_path)
+        result, hit = reader.get_or_retarget(demo_hdl, generate_matcher=False)
+        assert not hit and reader.misses == 1
+        assert "introducible_ops" in vars(result.selector.tables)
+        assert reader.stats()["disk_entries"] == 2  # v2 left alone, v3 added
+
     def test_matcher_regenerated_on_hit(self, tmp_path, demo_hdl):
         writer = RetargetCache(directory=tmp_path)
         writer.get_or_retarget(demo_hdl, generate_matcher=False)
