@@ -9,9 +9,10 @@ measures three quantities on a fixed-seed campaign:
 * **campaign throughput** -- programs fully cross-checked per second with
   every oracle on one target;
 * **oracle overhead** -- campaign cost relative to compiling each program
-  once (the ``sim``/``opt``/``matcher`` legs compile the program up to
-  four times and simulate it up to five, so the overhead factor says
-  what a CI fuzz-smoke budget actually buys).
+  once (the ``sim``/``opt``/``matcher`` legs compile the program four
+  times and simulate it three times, and the ``matcher`` leg re-covers
+  every statement with the emitted selector, so the overhead factor
+  says what a CI fuzz-smoke budget actually buys).
 
 Run as a script to merge a ``fuzz_throughput`` section into
 ``BENCH_results.json``::

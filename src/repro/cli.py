@@ -806,8 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
         "flow, arrays, fold/CSE-shaped expressions) and cross-checks, per "
         "program and target: storage-faithful RT simulation against "
         "reference execution ('sim'), the optimized pipeline against "
-        "--no-opt ('opt'), and the table-driven BURS matcher against the "
-        "interpretive matcher ('matcher').  Divergences and crashes are "
+        "--no-opt ('opt'), and the library code selector against the "
+        "emitted selector module ('matcher').  Divergences and crashes are "
         "delta-debugged to minimal reproducers; exit status is 1 when any "
         "finding survives.",
     )

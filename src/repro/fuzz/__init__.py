@@ -12,8 +12,9 @@ campaign that cross-checks, per generated program and target:
   execution of the source program (:meth:`repro.ir.program.Program.execute`);
 * ``opt``     -- the optimized pipeline against the byte-identical
   ``no-opt`` pipeline (both simulated, observables compared);
-* ``matcher`` -- the table-driven BURS matcher against the interpretive
-  matcher (cover cost, code size and simulated observables).
+* ``matcher`` -- the library code selector against the emitted selector
+  module, the generated parser of :mod:`repro.selector.emit` (rule index
+  sequence of every selected statement's cover).
 
 Any divergence or crash is shrunk by the delta-debugging minimizer to a
 small reproducer and can be promoted into ``tests/corpus/`` where a

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.codegen.selection import build_subject_tree
 from repro.diagnostics import InternalCompilerError, ReproError
 from repro.hdl.ast import ModuleKind
 from repro.ir.program import Program
 from repro.opt import OPT_TEMP_PREFIXES
-from repro.selector.burs import CodeSelector
+from repro.selector.burs import SelectionError
 from repro.sim.rtsim import RTSimulator
 from repro.toolchain import PipelineConfig, Session, Toolchain
 
@@ -57,7 +58,6 @@ class TargetHarness:
     target: str
     session_opt: Session
     session_noopt: Session
-    session_interp: Session
     memory_storages: frozenset
     environment_seeder: object = field(default=None, repr=False)
 
@@ -83,15 +83,6 @@ class TargetHarness:
         session_noopt = session_opt.reconfigured(
             config.with_updates(use_optimizer=False)
         )
-        # Same full pipeline, but the BURS labeller walks the grammar
-        # interpretively instead of through the generated tables -- the
-        # two matchers must produce identical covers.
-        session_interp = Session(retarget_result, config=config)
-        session_interp.selector = CodeSelector(
-            retarget_result.grammar,
-            tables=retarget_result.selector.tables,
-            matcher="interpretive",
-        )
         storages = frozenset(
             module.name
             for module in retarget_result.netlist.sequential_modules()
@@ -101,7 +92,6 @@ class TargetHarness:
             target=target,
             session_opt=session_opt,
             session_noopt=session_noopt,
-            session_interp=session_interp,
             memory_storages=storages,
         )
 
@@ -200,33 +190,46 @@ def check_optimizer(
     return None
 
 
+def _cover_or_none(cover, subject):
+    """Rule indices of ``cover(subject)``, or ``None`` when it finds no
+    derivation (the library selector raises :class:`SelectionError`, the
+    emitted module ``ValueError``)."""
+    try:
+        return cover(subject)
+    except (SelectionError, ValueError):
+        return None
+
+
 def check_matchers(
     harness: TargetHarness, program: Program, environment: Dict[str, int]
 ) -> Optional[Divergence]:
-    """``matcher``: table-driven and interpretive BURS matchers must
-    produce equally costly covers that simulate identically."""
-    tables_result = _compile_leg(harness.session_opt, program, "table-driven")
-    interp_result = _compile_leg(harness.session_interp, program, "interpretive")
-    if tables_result.code_size != interp_result.code_size:
-        return Divergence(
-            oracle="matcher",
-            target=harness.target,
-            detail="code size differs: tables=%d interpretive=%d"
-            % (tables_result.code_size, interp_result.code_size),
-        )
-    tables_out = faithful_simulate(
-        tables_result, harness.memory_storages, environment
-    )
-    interp_out = faithful_simulate(
-        interp_result, harness.memory_storages, environment
-    )
-    mismatches = _mismatches(tables_out, interp_out)
-    if mismatches:
-        return Divergence(
-            oracle="matcher",
-            target=harness.target,
-            detail="matchers disagree (tables, interpretive): %r" % (mismatches,),
-        )
+    """``matcher``: the library selector and the emitted selector module
+    (the generated parser, as iburg emits one) must cover every selected
+    statement of the optimized program with the same rule sequence, or
+    both find no cover."""
+    result = _compile_leg(harness.session_opt, program, "optimized")
+    retarget_result = harness.session_opt.retarget_result
+    if retarget_result.matcher_module is None:
+        retarget_result.regenerate_matcher()
+    emitted_reduce = retarget_result.matcher_module.reduce
+    selector = retarget_result.selector
+
+    def library_reduce(subject):
+        return selector.select(subject).rule_indices()
+
+    for block in result.program.reachable_blocks():
+        for position, statement in enumerate(block.statements):
+            subject = build_subject_tree(statement, result.binding)
+            library = _cover_or_none(library_reduce, subject)
+            emitted = _cover_or_none(emitted_reduce, subject)
+            if library != emitted:
+                return Divergence(
+                    oracle="matcher",
+                    target=harness.target,
+                    detail="selectors disagree on %s statement %d (%s): "
+                    "library=%r emitted=%r"
+                    % (block.name, position, statement, library, emitted),
+                )
     return None
 
 

@@ -10,25 +10,25 @@ be emitted directly as instructions.
 The computed derivations are optimal with respect to the accumulated rule
 costs, mirroring the guarantee of parsers generated by iburg.
 
-Two matcher backends share this guarantee and produce identical covers:
+Selection is driven entirely from the offline-compiled
+:class:`~repro.selector.tables.GrammarTables`: rule patterns run as
+linearized match programs (a non-recursive loop over instruction tuples),
+chain-rule closure is a precomputed per-nonterminal ``(delta_cost,
+rule_path)`` matrix applied directly (no per-node fixpoint), and node
+states are memoized twice over: by hash-consed subtree structure
+(:meth:`~repro.selector.subject.SubjectNode.structure_id`) in a bounded
+memo whose hits bind the stored template to the concrete node lazily
+(:class:`_LazyState`), so structurally repeated expressions -- across
+statements and across pooled service requests -- label once, and on the
+subject nodes themselves, so relabelling one tree (repeated ``node_cost``
+probes, ISE search loops) reuses its states outright.  ``memo_size=0``
+disables both.
 
-* ``matcher="tables"`` (the default) drives selection entirely from the
-  offline-compiled :class:`~repro.selector.tables.GrammarTables`: rule
-  patterns run as linearized match programs (a non-recursive loop over
-  instruction tuples), chain-rule closure is a precomputed per-nonterminal
-  ``(delta_cost, rule_path)`` matrix applied directly (no per-node
-  fixpoint), and node states are memoized twice over: by hash-consed
-  subtree structure (:meth:`~repro.selector.subject.SubjectNode.structure_id`)
-  in a bounded memo whose hits bind the stored template to the concrete
-  node lazily (:class:`_LazyState`), so structurally repeated expressions
-  -- across statements and across pooled service requests -- label once,
-  and on the subject nodes themselves, so relabelling one tree (repeated
-  ``node_cost`` probes, ISE search loops) reuses its states outright.
-  ``memo_size=0`` disables both;
-* ``matcher="interpretive"`` is the legacy escape hatch: recursive
-  pattern matching over grammar objects and chain closure recomputed at
-  every node.  It is kept for one release as the differential-testing
-  reference (see ``tests/test_selector_differential.py``).
+The reference covers come from outside this module: the emitted selector
+(:mod:`repro.selector.emit`, the iburg-style generated parser every
+retarget builds) must reduce every subject tree to the same rule
+sequence, and the test suite checks per-node costs against the seed's
+fixpoint labeller reimplemented from the grammar alone.
 """
 
 from __future__ import annotations
@@ -36,19 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.grammar.grammar import (
-    PatNonterm,
-    PatTerm,
-    PatternNode,
-    Rule,
-    RuleKind,
-    TreeGrammar,
-)
+from repro.grammar.grammar import Rule, RuleKind, TreeGrammar
 from repro.selector.subject import SubjectNode
-from repro.selector.tables import GrammarTables, chain_closure_from
-
-#: Matcher backends accepted by :class:`CodeSelector`.
-MATCHERS = ("tables", "interpretive")
+from repro.selector.tables import GrammarTables
 
 #: Default bound of the labelling memo (distinct subtree structures kept).
 DEFAULT_MEMO_SIZE = 8192
@@ -68,9 +58,8 @@ class Match:
     # order): the subject node it matched and the required non-terminal.
     leaves: List[Tuple[SubjectNode, str]]
     # Child-index paths of the leaves inside this node's subtree (parallel
-    # to ``leaves``); filled by the table-driven matcher so node states can
-    # be memoized in a node-independent form.  ``None`` on the interpretive
-    # path and on memo-instantiated matches.
+    # to ``leaves``), so node states can be memoized in a node-independent
+    # form.  ``None`` on memo-instantiated matches.
     paths: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
@@ -174,10 +163,9 @@ class _LazyState:
 class CodeSelector:
     """A processor-specific code selector for expression trees.
 
-    ``matcher`` selects the backend (see module docstring); ``memo_size``
-    bounds the labelling memo of the table-driven backend (``0`` disables
-    memoization, structural and per-node alike).  The selector is safe to
-    share read-only across threads: the grammar tables are immutable after
+    ``memo_size`` bounds the labelling memo (``0`` disables memoization,
+    structural and per-node alike).  The selector is safe to share
+    read-only across threads: the grammar tables are immutable after
     construction and the memo is a plain dict touched only through
     GIL-atomic operations (a racing clear costs misses, never wrong hits).
     """
@@ -186,16 +174,10 @@ class CodeSelector:
         self,
         grammar: TreeGrammar,
         tables: Optional[GrammarTables] = None,
-        matcher: str = "tables",
         memo_size: int = DEFAULT_MEMO_SIZE,
     ):
-        if matcher not in MATCHERS:
-            raise ValueError(
-                "unknown matcher %r; expected one of %s" % (matcher, ", ".join(MATCHERS))
-            )
         self.grammar = grammar
         self.tables = tables if tables is not None else GrammarTables.build(grammar)
-        self.matcher = matcher
         self.memo_size = memo_size
         self._init_runtime()
 
@@ -220,13 +202,6 @@ class CodeSelector:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Selectors pickled by older versions predate the matcher knobs.
-        self.__dict__.setdefault("matcher", "tables")
-        self.__dict__.setdefault("memo_size", DEFAULT_MEMO_SIZE)
-        self.__dict__.setdefault("memo_hits", 0)
-        self.__dict__.setdefault("memo_misses", 0)
-        self.__dict__.setdefault("nodes_labelled", 0)
-        self.__dict__.setdefault("node_cache_hits", 0)
         self._memo = {}
 
     # -- public API -----------------------------------------------------------
@@ -252,43 +227,14 @@ class CodeSelector:
         """The labelling pass: per-node, per-non-terminal optimal costs.
 
         Returns a state for *every* node of the tree (the historical
-        contract).  With the table-driven matcher, states of already
-        memoized subtrees are instantiated from the memo (lazily, per
-        non-terminal) instead of recomputed; the selector's own hot paths
-        (:meth:`select`, :meth:`node_cost`) use a lazier internal variant
-        that skips memoized subtrees wholesale.
+        contract): the lazy walk of :meth:`select` runs first, then every
+        node it skipped under a memo hit materializes from its own memo
+        template (lazily, per non-terminal) instead of being recomputed.
         """
         states: Dict[int, _NodeState] = {}
-        if self.matcher == "interpretive":
-            self._label_subtree(root, states)
-            return states
-        use_memo = self.memo_size > 0
-        if use_memo:
-            root.structure_id()  # one walk caches every descendant's id
-        memo = self._memo
-        memo_hits = cache_hits = instantiated = 0
+        self._label_subtree(root, states)
         for node in root.post_order():
-            key = id(node)
-            if key in states:
-                continue
-            if use_memo:
-                cached = node._label_state
-                if cached is not None and cached[0] is self:
-                    states[key] = cached[1]
-                    cache_hits += 1
-                    continue
-                template = memo.get(node._struct_id)
-                if template is not None:
-                    state = _LazyState(node, template)
-                    states[key] = state
-                    node._label_state = (self, state)
-                    memo_hits += 1
-                    instantiated += 1
-                    continue
-            states[key] = self._compute_state(node, states)
-        self.memo_hits += memo_hits
-        self.node_cache_hits += cache_hits
-        self.nodes_labelled += instantiated
+            self._state_of(node, states)
         return states
 
     def node_cost(self, root: SubjectNode, goal: Optional[str] = None) -> Optional[int]:
@@ -308,7 +254,6 @@ class CodeSelector:
         """Labeller statistics (memo behaviour and table provenance)."""
         lookups = self.memo_hits + self.memo_misses
         return {
-            "matcher": self.matcher,
             "nodes_labelled": self.nodes_labelled,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
@@ -319,24 +264,11 @@ class CodeSelector:
             "table_build_time_s": self.tables.build_time_s,
         }
 
-    def reset_stats(self) -> None:
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.nodes_labelled = 0
-        self.node_cache_hits = 0
-
-    def clear_memo(self) -> None:
-        self._memo.clear()
-
     # -- labelling ---------------------------------------------------------------
 
     def _label_subtree(self, root: SubjectNode, states: Dict[int, _NodeState]) -> None:
-        if self.matcher == "interpretive":
-            for node in root.post_order():
-                if id(node) not in states:
-                    states[id(node)] = self._label_node_interpretive(node, states)
-                    self.nodes_labelled += 1
-            return
+        """Label ``root`` bottom-up, skipping every subtree whose state is
+        cached on the node or in the structural memo."""
         use_memo = self.memo_size > 0
         stack: List[Tuple[SubjectNode, bool]] = [(root, False)]
         while stack:
@@ -346,14 +278,8 @@ class CodeSelector:
                 continue
             if id(node) in states:
                 continue
-            if use_memo:
-                cached = node._label_state
-                if cached is not None and cached[0] is self:
-                    states[id(node)] = cached[1]
-                    self.node_cache_hits += 1
-                    continue
-                if self._memo_instantiate(node, states) is not None:
-                    continue
+            if use_memo and self._memo_instantiate(node, states) is not None:
+                continue
             stack.append((node, True))
             for child in reversed(node.children):
                 stack.append((child, False))
@@ -361,10 +287,15 @@ class CodeSelector:
     def _memo_instantiate(
         self, node: SubjectNode, states: Dict[int, _NodeState]
     ) -> Optional[_NodeState]:
-        """Materialize ``node``'s state from its memoized template, or
-        return ``None`` on a memo miss.  The single memo-hit path: both the
-        eager labelling walk and lazy state resolution go through here, so
-        hit accounting cannot drift."""
+        """Materialize ``node``'s state from its per-node cache or its
+        memoized template, or return ``None`` on a memo miss.  The single
+        memo-hit path: the labelling walk and lazy state resolution both go
+        through here, so hit accounting cannot drift."""
+        cached = node._label_state
+        if cached is not None and cached[0] is self:
+            states[id(node)] = cached[1]
+            self.node_cache_hits += 1
+            return cached[1]
         template = self._memo.get(node.structure_id())
         if template is None:
             return None
@@ -377,24 +308,17 @@ class CodeSelector:
 
     def _state_of(self, node: SubjectNode, states: Dict[int, _NodeState]) -> _NodeState:
         """The state of ``node``, materializing lazily from the memo (or by
-        labelling the subtree) when the eager pass skipped it."""
+        labelling the subtree) when the labelling walk skipped it."""
         state = states.get(id(node))
         if state is not None:
             return state
-        if self.matcher == "tables" and self.memo_size > 0:
-            cached = node._label_state
-            if cached is not None and cached[0] is self:
-                states[id(node)] = cached[1]
-                self.node_cache_hits += 1
-                return cached[1]
+        if self.memo_size > 0:
             state = self._memo_instantiate(node, states)
             if state is not None:
                 return state
         # Memo entry evicted (or memo disabled): label the subtree directly.
         self._label_subtree(node, states)
         return states[id(node)]
-
-    # -- table-driven backend ----------------------------------------------------
 
     def _compute_state(self, node: SubjectNode, states: Dict[int, _NodeState]) -> _NodeState:
         state: _NodeState = {}
@@ -499,61 +423,6 @@ class CodeSelector:
         if len(memo) >= self.memo_size:
             memo.clear()
         memo[structure_id] = template
-
-    # -- interpretive backend (legacy escape hatch) -------------------------------
-
-    def _label_node_interpretive(
-        self, node: SubjectNode, states: Dict[int, _NodeState]
-    ) -> _NodeState:
-        state: _NodeState = {}
-        for rule in self.tables.candidate_rules(node.label):
-            matched = self._match_pattern(rule.pattern, node, states)
-            if matched is None:
-                continue
-            leaf_cost, leaves = matched
-            cost = rule.cost + leaf_cost
-            best = state.get(rule.lhs)
-            if best is None or cost < best.cost:
-                state[rule.lhs] = Match(cost=cost, rule=rule, leaves=leaves)
-        # Chain closure recomputed at every node (the cost the table-driven
-        # backend eliminates); the same deterministic shortest-path entries
-        # keep both backends' covers identical.
-        chain_rules = self.tables.chain_rules_by_source
-        self._apply_closure(
-            node, state, lambda source: chain_closure_from(source, chain_rules)
-        )
-        return state
-
-    def _match_pattern(
-        self,
-        pattern: PatternNode,
-        node: SubjectNode,
-        states: Dict[int, _NodeState],
-    ) -> Optional[Tuple[int, List[Tuple[SubjectNode, str]]]]:
-        """Recursive pattern match of the interpretive backend."""
-        if isinstance(pattern, PatNonterm):
-            match = states[id(node)].get(pattern.name)
-            if match is None:
-                return None
-            return match.cost, [(node, pattern.name)]
-        if isinstance(pattern, PatTerm):
-            if node.label != pattern.name:
-                return None
-            if pattern.value is not None and node.const_value != pattern.value:
-                return None
-            if len(node.children) != len(pattern.operands):
-                return None
-            total_cost = 0
-            leaves: List[Tuple[SubjectNode, str]] = []
-            for child_pattern, child_node in zip(pattern.operands, node.children):
-                matched = self._match_pattern(child_pattern, child_node, states)
-                if matched is None:
-                    return None
-                child_cost, child_leaves = matched
-                total_cost += child_cost
-                leaves.extend(child_leaves)
-            return total_cost, leaves
-        return None
 
     # -- reduction -------------------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 iburg compiles a grammar into static tables consulted by the generated
 parser; :meth:`GrammarTables.build` plays the same role for our Python
-matcher.  Beyond the simple rule indexes of earlier versions it now
-produces a genuinely table-driven matcher backend:
+matcher.  Both the library :class:`~repro.selector.burs.CodeSelector`
+and the emitted selector module (:mod:`repro.selector.emit`) run on
+these tables:
 
 * **dense interning** -- every terminal label that roots a rule pattern
   is assigned a dense integer id (``op_ids``): the match-program table is
@@ -22,8 +23,8 @@ produces a genuinely table-driven matcher backend:
   the minimal extra cost and the exact rule path realizing it.  The
   labeller applies this matrix directly, eliminating the per-node
   fixpoint iteration entirely.  Ties are broken deterministically by the
-  lexicographically smallest rule-index path, which both the table-driven
-  and the interpretive matcher honour so their covers are identical.
+  lexicographically smallest rule-index path, so covers are
+  deterministic.
 
 Tables depend only on the grammar, are built once per retarget (the
 ``tables`` phase of :func:`repro.record.retarget.retarget`), pickle with
@@ -159,7 +160,7 @@ class GrammarTables:
     """Matcher tables derived offline from one tree grammar."""
 
     grammar: TreeGrammar
-    # Legacy rule indexes (kept -- cheap, and still the clearest view).
+    # Plain rule indexes (read by the target lints).
     rules_by_root: Dict[str, List[Rule]] = field(default_factory=dict)
     chain_rules_by_source: Dict[str, List[Rule]] = field(default_factory=dict)
     # Dense interning of pattern-root operators and non-terminals.
@@ -209,7 +210,7 @@ class GrammarTables:
             tables.nt_names.append(name)
         # Linearized match programs, grouped by root operator id, in rule
         # index order (which fixes the tie-break: the first matching rule
-        # of equal cost wins, exactly like the interpretive matcher).
+        # of equal cost wins).
         tables.programs_by_op = [
             tuple(linearize_pattern(rule) for rule in tables.rules_by_root[name])
             for name in tables.op_names
@@ -227,14 +228,6 @@ class GrammarTables:
         return tables
 
     # -- lookups ---------------------------------------------------------------
-
-    def candidate_rules(self, label: str) -> List[Rule]:
-        """Non-chain rules whose pattern root carries the given terminal."""
-        return self.rules_by_root.get(label, [])
-
-    def chain_candidates(self, nonterminal: str) -> List[Rule]:
-        """Chain rules that can fire once ``nonterminal`` has been derived."""
-        return self.chain_rules_by_source.get(nonterminal, [])
 
     def programs_for(self, label: str) -> Tuple[MatchProgram, ...]:
         """The linearized match programs rooted at ``label``."""

@@ -31,7 +31,8 @@ from repro.record.retarget import RetargetResult, retarget
 #:    offline-compiled matcher tables (match programs + chain closure).
 #: 3: GrammarTables grew ``introducible_ops`` (the optimizer's
 #:    operator-introduction signatures, scanned once per grammar).
-CACHE_FORMAT_VERSION = 3
+#: 4: CodeSelector lost its ``matcher`` attribute (one labelling backend).
+CACHE_FORMAT_VERSION = 4
 
 
 def default_cache_dir() -> str:

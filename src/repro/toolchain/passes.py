@@ -331,7 +331,6 @@ class SelectionPass(Pass):
         misses = selector.memo_misses - misses_before
         lookups = hits + misses
         state.selection_stats = {
-            "matcher": selector.matcher,
             "nodes_labelled": selector.nodes_labelled - labelled_before,
             "memo_hits": hits,
             "memo_misses": misses,

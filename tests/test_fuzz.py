@@ -7,6 +7,7 @@ DSPStone-capable target.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -31,10 +32,12 @@ from repro.fuzz.oracles import (
     Divergence,
     OracleSkip,
     SIMULATION_STEP_LIMIT,
+    check_matchers,
     seed_environment,
 )
 
 SEEDS = range(12)
+CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +264,66 @@ class TestCampaign:
         )
         assert len(report.findings) == 3
         assert report.programs == 3 < report.budget
+
+
+# ---------------------------------------------------------------------------
+# the matcher oracle: library selector vs the emitted selector module
+# ---------------------------------------------------------------------------
+
+MATCHER_PROGRAM = "int a, b, c, y, z; y = a * b + c; z = y - a;"
+
+
+class TestMatcherOracle:
+    @pytest.fixture
+    def emitted(self, fuzz_harnesses):
+        retarget_result = fuzz_harnesses["ref"].session_opt.retarget_result
+        if retarget_result.matcher_module is None:
+            retarget_result.regenerate_matcher()
+        return retarget_result.matcher_module
+
+    def _check(self, fuzz_harnesses):
+        program = lower_to_program(MATCHER_PROGRAM, name="m")
+        return check_matchers(
+            fuzz_harnesses["ref"], program, seed_environment(program)
+        )
+
+    def test_agreement_on_a_coverable_program(self, fuzz_harnesses):
+        assert self._check(fuzz_harnesses) is None
+
+    def test_dropped_rule_is_a_divergence(self, fuzz_harnesses, emitted, monkeypatch):
+        reduce = emitted.reduce
+        monkeypatch.setattr(emitted, "reduce", lambda root: reduce(root)[:-1])
+        divergence = self._check(fuzz_harnesses)
+        assert isinstance(divergence, Divergence)
+        assert divergence.oracle == "matcher" and divergence.target == "ref"
+        assert "statement 0" in divergence.detail
+        assert "y = " in divergence.detail
+
+    def test_spurious_no_cover_is_a_divergence(
+        self, fuzz_harnesses, emitted, monkeypatch
+    ):
+        def no_cover(root):
+            raise ValueError("tree not derivable")
+
+        monkeypatch.setattr(emitted, "reduce", no_cover)
+        divergence = self._check(fuzz_harnesses)
+        assert isinstance(divergence, Divergence)
+        assert "emitted=None" in divergence.detail
+        assert "y = " in divergence.detail
+
+    def test_matcher_corpus_entry_replays_clean(self, fuzz_harnesses):
+        (finding,) = [
+            entry
+            for entry in load_corpus(CORPUS_DIR)
+            if entry.hash == "16619f3e9cda"
+        ]
+        program = lower_to_program(finding.reproducer, name="corpus")
+        environment = seed_environment(program)
+        for target in ("ref", "tms320c25"):
+            kind, payload = _run_oracle(
+                check_matchers, fuzz_harnesses[target], program, environment
+            )
+            assert kind == "ok", (target, payload)
 
 
 # ---------------------------------------------------------------------------

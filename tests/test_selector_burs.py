@@ -143,15 +143,16 @@ class TestTables:
     def test_tables_index_by_root_label(self):
         grammar = _toy_grammar()
         tables = GrammarTables.build(grammar)
-        assert len(tables.candidate_rules("add")) == 2
-        assert len(tables.candidate_rules("ASSIGN")) == 2
-        assert tables.candidate_rules("unknown") == []
+        assert len(tables.rules_by_root["add"]) == 2
+        assert len(tables.rules_by_root["ASSIGN"]) == 2
+        assert "unknown" not in tables.rules_by_root
+        assert tables.programs_for("unknown") == ()
 
-    def test_chain_candidates(self):
+    def test_chain_rules_by_source(self):
         grammar = _toy_grammar()
         tables = GrammarTables.build(grammar)
-        assert {r.lhs for r in tables.chain_candidates("nt_MEM")} == {"nt_ACC"}
-        assert {r.lhs for r in tables.chain_candidates("nt_ACC")} == {"nt_MEM"}
+        assert {r.lhs for r in tables.chain_rules_by_source["nt_MEM"]} == {"nt_ACC"}
+        assert {r.lhs for r in tables.chain_rules_by_source["nt_ACC"]} == {"nt_MEM"}
 
     def test_stats(self):
         tables = GrammarTables.build(_toy_grammar())

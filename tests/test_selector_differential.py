@@ -1,10 +1,12 @@
 """Differential and performance-semantics tests for the BURS matcher.
 
-The table-driven matcher (linearized match programs, precomputed chain
-closure, structural labelling memo) must produce exactly the covers of the
-interpretive escape hatch (``matcher="interpretive"``) on every built-in
-target and every DSPStone kernel -- identical costs *and* identical rule
-index sequences.  On top of that, this module pins down the memoization
+The library selector (linearized match programs, precomputed chain
+closure, structural labelling memo) must produce exactly the covers of
+the emitted selector module (``RetargetResult.matcher_module``, the
+generated parser) on every built-in target and every DSPStone kernel --
+identical costs *and* identical rule index sequences -- and its per-node
+costs must equal the seed's fixpoint labeller, reimplemented here from
+the grammar alone.  On top of that, this module pins down the memoization
 semantics (node_cost reuse, boundedness, cross-statement sharing) and the
 explicit-stack walks (deep ~5k-node chain expressions compile without
 ``RecursionError``).
@@ -16,6 +18,8 @@ import pytest
 
 from repro.codegen.selection import build_subject_tree
 from repro.dspstone import all_kernel_names, kernel_program
+from repro.frontend import lower_to_program
+from repro.fuzz.generator import LOOP_HEAVY_CONFIG, generate_source
 from repro.ir.binding import BindingError, bind_program
 from repro.ir.expr import Const, Op, VarRef
 from repro.ir.program import BasicBlock, Program, Statement
@@ -26,14 +30,12 @@ from repro.toolchain import PipelineConfig, Session
 
 
 @pytest.fixture(scope="module")
-def interpretive_selectors(retarget_results):
-    """One interpretive-matcher selector per target, sharing the tables."""
-    return {
-        name: CodeSelector(
-            result.grammar, tables=result.selector.tables, matcher="interpretive"
-        )
-        for name, result in retarget_results.items()
-    }
+def emitted_selectors(retarget_results):
+    """The emitted selector module of every target."""
+    for result in retarget_results.values():
+        if result.matcher_module is None:
+            result.regenerate_matcher()
+    return {name: result.matcher_module for name, result in retarget_results.items()}
 
 
 def _statement_subjects(target_result, kernel):
@@ -54,13 +56,14 @@ def _statement_subjects(target_result, kernel):
 class TestDifferentialCovers:
     @pytest.mark.parametrize("target", sorted(all_target_names()))
     def test_kernels_cover_identically_on_target(
-        self, target, retarget_results, interpretive_selectors
+        self, target, retarget_results, emitted_selectors
     ):
-        """Table-driven and interpretive matchers agree on cost and exact
-        rule sequence for every DSPStone kernel statement (or both fail)."""
+        """The library selector and the emitted selector module agree on
+        cost and exact rule sequence for every DSPStone kernel statement
+        (or both find no cover)."""
         result = retarget_results[target]
         table_selector = result.selector
-        interp_selector = interpretive_selectors[target]
+        emitted = emitted_selectors[target]
         compared = 0
         for kernel in all_kernel_names():
             subjects = _statement_subjects(result, kernel)
@@ -69,15 +72,15 @@ class TestDifferentialCovers:
             for subject in subjects:
                 compared += 1
                 try:
-                    expected = interp_selector.select(subject)
-                except SelectionError:
-                    # Both matchers must agree that no cover exists.
+                    expected_rules = emitted.reduce(subject)
+                except ValueError:
+                    # Both selectors must agree that no cover exists.
                     with pytest.raises(SelectionError):
                         table_selector.select(subject)
                     continue
                 got = table_selector.select(subject)
-                assert got.cost == expected.cost
-                assert got.rule_indices() == expected.rule_indices()
+                assert got.cost == emitted.cover_cost(subject)
+                assert got.rule_indices() == expected_rules
         assert compared > 0, "no kernel statement was comparable on %s" % target
 
     def test_memoized_relabelling_is_still_identical(self, tms_result):
@@ -91,9 +94,10 @@ class TestDifferentialCovers:
             assert after.cost == before.cost
             assert after.rule_indices() == before.rule_indices()
 
-    def test_unknown_matcher_is_rejected(self, demo_result):
-        with pytest.raises(ValueError):
-            CodeSelector(demo_result.grammar, matcher="quantum")
+    def test_matcher_knob_is_gone(self, demo_result):
+        """One labelling backend: the selector takes no backend choice."""
+        with pytest.raises(TypeError):
+            CodeSelector(demo_result.grammar, matcher="tables")
 
 
 class TestLabellingMemo:
@@ -154,7 +158,8 @@ class TestLabellingMemo:
 
     def test_label_returns_states_for_every_node(self, demo_result):
         """The public label() contract: all nodes get a state, even when
-        the memo is warm and subtrees repeat within one tree."""
+        subtrees repeat within one tree; on a fully memoized tree label()
+        computes no new state."""
         selector = CodeSelector(demo_result.grammar, tables=demo_result.selector.tables)
 
         def make():
@@ -172,12 +177,23 @@ class TestLabellingMemo:
                 ],
             )
 
-        for _ in range(2):  # second pass runs against a fully warm memo
-            root = make()
+        cold = make()
+        misses = hits = None
+        # Cold memo, then a fresh tree against the warm memo, then the
+        # same tree again through the per-node cache.
+        for root in (cold, make(), cold):
             states = selector.label(root)
-            for node in root.post_order():
-                assert id(node) in states
+            nodes = root.post_order()
+            assert len(states) == len(nodes)
+            for node in nodes:
                 assert states[id(node)], repr(node)
+            if misses is None:
+                misses, hits = selector.memo_misses, selector.memo_hits
+            assert selector.memo_misses == misses
+        # Every node of the fresh tree was a structural memo hit; the
+        # relabelled tree reused its per-node states.
+        assert selector.memo_hits == hits + len(nodes)
+        assert selector.node_cache_hits >= len(nodes)
 
     def test_memo_disabled_reports_no_memo_traffic(self, demo_result):
         selector = CodeSelector(
@@ -224,7 +240,7 @@ class TestLabellingMemo:
         cost = selector.node_cost(root)
         clone = pickle.loads(pickle.dumps(selector))
         assert len(clone._memo) == 0
-        assert clone.matcher == selector.matcher
+        assert clone.memo_size == selector.memo_size
         assert clone.node_cost(root) == cost
 
     def test_sessions_share_selector_tables(self, tms_result):
@@ -316,7 +332,8 @@ def _fixpoint_label_costs(subject, grammar):
 class TestClosureOracle:
     """The precomputed closure and the table-driven states checked against
     oracles that share no code with GrammarTables (guards against a bug in
-    chain_closure_from fooling the backend-vs-backend differential)."""
+    the tables fooling the library-vs-emitted differential, whose two
+    selectors read the same match programs and closure)."""
 
     @pytest.mark.parametrize("target", sorted(all_target_names()))
     def test_closure_deltas_match_bellman_ford(self, target, retarget_results):
@@ -344,20 +361,44 @@ class TestClosureOracle:
                     assert rule.pattern.name == previous.lhs
                 assert sum(rule.cost for rule in rule_path) == delta
 
-    def test_node_state_costs_match_seed_fixpoint(self, retarget_results):
+    @pytest.mark.parametrize("target", ["demo", "ref", "tms320c25"])
+    def test_node_state_costs_match_seed_fixpoint(self, target, retarget_results):
         """Every per-node, per-nonterminal cost of the table-driven
         labeller equals the seed algorithm's, on real kernel trees."""
-        for target in ("demo", "tms320c25"):
-            result = retarget_results[target]
-            subjects = _statement_subjects(result, "fir") or []
-            subjects += _statement_subjects(result, "complex_multiply") or []
-            assert subjects
-            for subject in subjects:
-                expected = _fixpoint_label_costs(subject, result.grammar)
-                states = result.selector.label(subject)
-                for node in subject.post_order():
-                    got = {nt: match.cost for nt, match in states[id(node)].items()}
-                    assert got == expected[id(node)]
+        result = retarget_results[target]
+        subjects = _statement_subjects(result, "fir") or []
+        subjects += _statement_subjects(result, "complex_multiply") or []
+        assert subjects
+        _assert_fixpoint_costs(result, subjects)
+
+    @pytest.mark.parametrize("target", ["ref", "tms320c25"])
+    def test_loop_heavy_costs_match_seed_fixpoint(self, target, retarget_results):
+        """The same check on the post-opt statements of loop-heavy fuzz
+        programs -- the grammars and tree shapes the fuzz campaign runs
+        most, where its ``matcher`` oracle shares tables with the
+        selector."""
+        result = retarget_results[target]
+        session = Session(result)
+        subjects = []
+        for seed in range(3):
+            program = lower_to_program(
+                generate_source(seed, LOOP_HEAVY_CONFIG), name="loops%d" % seed
+            )
+            compiled = session.compile_program(program)
+            for block in compiled.program.reachable_blocks():
+                for statement in block.statements:
+                    subjects.append(build_subject_tree(statement, compiled.binding))
+        assert len(subjects) > 30
+        _assert_fixpoint_costs(result, subjects)
+
+
+def _assert_fixpoint_costs(result, subjects):
+    for subject in subjects:
+        expected = _fixpoint_label_costs(subject, result.grammar)
+        states = result.selector.label(subject)
+        for node in subject.post_order():
+            got = {nt: match.cost for nt, match in states[id(node)].items()}
+            assert got == expected[id(node)]
 
 
 def _deep_chain_program(depth):
@@ -397,13 +438,12 @@ class TestDeepTrees:
         assert compiled.code_size >= 2500
         assert compiled.metrics.nodes_labelled > 0
 
-    def test_interpretive_matcher_also_handles_deep_chains(self, demo_result):
-        selector = CodeSelector(
-            demo_result.grammar,
-            tables=demo_result.selector.tables,
-            matcher="interpretive",
-        )
-        program = _deep_chain_program(1500)
+    def test_emitted_selector_reduces_deep_chain(self, demo_result, emitted_selectors):
+        """The emitted selector walks with explicit stacks too, and covers
+        the ~5k-node chain exactly like the library selector."""
+        program = _deep_chain_program(2500)
         binding = bind_program(program, demo_result.netlist)
         subject = build_subject_tree(program.blocks[0].statements[0], binding)
-        assert selector.select(subject).cost > 0
+        assert subject.size() >= 5000
+        expected = demo_result.selector.select(subject).rule_indices()
+        assert emitted_selectors["demo"].reduce(subject) == expected

@@ -309,25 +309,33 @@ class TestRetargetCache:
         no_expansion = ExpansionOptions(use_commutativity=False, use_rewrite_rules=False)
         assert retarget_fingerprint(demo_hdl, expansion=no_expansion) != base
 
-    def test_format_2_entry_is_a_clean_miss(self, tmp_path, demo_hdl, monkeypatch):
+    @pytest.mark.parametrize("old_format", [2, 3])
+    def test_older_format_entry_is_a_clean_miss(
+        self, tmp_path, demo_hdl, monkeypatch, old_format
+    ):
         # Format 2 pickled GrammarTables without ``introducible_ops``;
         # loading one would silently read the empty class default and
-        # stop shift strength reduction.  Format 3 must never see it.
+        # stop shift strength reduction.  Format 3 pickled CodeSelector
+        # with its since-deleted ``matcher`` attribute.  Format 4 must
+        # never see either.
         import repro.toolchain.cache as cache_module
 
-        assert cache_module.CACHE_FORMAT_VERSION == 3
-        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", 2)
+        assert cache_module.CACHE_FORMAT_VERSION == 4
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", old_format)
         writer = RetargetCache(directory=tmp_path)
-        v2_result, _hit = writer.get_or_retarget(demo_hdl, generate_matcher=False)
-        del v2_result.selector.tables.introducible_ops
-        writer.put(retarget_fingerprint(demo_hdl), v2_result)
+        old_result, _hit = writer.get_or_retarget(demo_hdl, generate_matcher=False)
+        if old_format == 2:
+            del old_result.selector.tables.introducible_ops
+        old_result.selector.matcher = "tables"
+        writer.put(retarget_fingerprint(demo_hdl), old_result)
         monkeypatch.undo()
 
         reader = RetargetCache(directory=tmp_path)
         result, hit = reader.get_or_retarget(demo_hdl, generate_matcher=False)
         assert not hit and reader.misses == 1
         assert "introducible_ops" in vars(result.selector.tables)
-        assert reader.stats()["disk_entries"] == 2  # v2 left alone, v3 added
+        assert "matcher" not in vars(result.selector)
+        assert reader.stats()["disk_entries"] == 2  # old left alone, v4 added
 
     def test_matcher_regenerated_on_hit(self, tmp_path, demo_hdl):
         writer = RetargetCache(directory=tmp_path)
