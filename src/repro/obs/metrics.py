@@ -58,33 +58,37 @@ def format_value(value: float) -> str:
     return repr(value) if not isinstance(value, int) else str(value)
 
 
-class Counter:
-    """A monotonically increasing value (one labeled child)."""
+class _Scalar:
+    """One labeled child holding a single value."""
 
     __slots__ = ("value", "_lock")
-    kind = "counter"
 
     def __init__(self, lock: Optional[threading.Lock] = None):
         self.value = 0.0
         self._lock = lock if lock is not None else threading.Lock()
-
-    def inc(self, by: float = 1.0) -> None:
-        with self._lock:
-            self.value += by
 
     def render(self, name: str, labels: Optional[Dict[str, str]] = None) -> List[str]:
         return ["%s%s %s" % (name, format_labels(labels or {}), format_value(self.value))]
 
 
-class Gauge:
+class Counter(_Scalar):
+    """A monotonically increasing value (one labeled child)."""
+
+    __slots__ = ()
+    kind = "counter"
+
+    def inc(self, by: float = 1.0) -> None:
+        if by < 0:
+            raise ValueError("a counter only goes up; got an increment of %r" % (by,))
+        with self._lock:
+            self.value += by
+
+
+class Gauge(_Scalar):
     """A value that can go up and down (one labeled child)."""
 
-    __slots__ = ("value", "_lock")
+    __slots__ = ()
     kind = "gauge"
-
-    def __init__(self, lock: Optional[threading.Lock] = None):
-        self.value = 0.0
-        self._lock = lock if lock is not None else threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -93,9 +97,6 @@ class Gauge:
     def inc(self, by: float = 1.0) -> None:
         with self._lock:
             self.value += by
-
-    def render(self, name: str, labels: Optional[Dict[str, str]] = None) -> List[str]:
-        return ["%s%s %s" % (name, format_labels(labels or {}), format_value(self.value))]
 
 
 class Histogram:
@@ -205,6 +206,11 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self.labels().observe(value)
 
+    def clear(self) -> None:
+        """Drop every child (a family re-set from a snapshot each scrape)."""
+        with self._lock:
+            self._children.clear()
+
     def collect(self) -> List[Tuple[Dict[str, str], object]]:
         """``(label_dict, child)`` pairs, sorted by label values."""
         with self._lock:
@@ -285,10 +291,6 @@ class MetricsRegistry:
         with self._lock:
             self._callbacks[name] = (help_text, fn)
 
-    def get(self, name: str) -> Optional[MetricFamily]:
-        with self._lock:
-            return self._families.get(name)
-
     def families(self) -> List[MetricFamily]:
         with self._lock:
             return list(self._families.values())
@@ -306,5 +308,5 @@ class MetricsRegistry:
                 continue  # a broken callback must not break the scrape
             lines.append("# HELP %s %s" % (name, help_text))
             lines.append("# TYPE %s gauge" % name)
-            lines.append("%s %s" % (name, repr(value)))
+            lines.append("%s %s" % (name, format_value(value)))
         return "\n".join(lines) + "\n"

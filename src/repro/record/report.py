@@ -7,6 +7,7 @@ checklist of table 1 of the paper from the extracted instruction set.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, List
 
 from repro.hdl.ast import ModuleKind
@@ -15,43 +16,24 @@ from repro.record.retarget import RetargetResult
 
 
 def compilation_report(result) -> str:
-    """A multi-line summary of one compilation: the metrics block plus the
-    per-pass wall-clock timings recorded by the pass manager (the
+    """A multi-line summary of one compilation: one line per
+    :class:`~repro.toolchain.results.CompileMetrics` field (name, value,
+    unit), then the per-pass wall-clock timings and the diagnostics (the
     compile-side analogue of :func:`retargeting_report`).
 
     ``result`` is a :class:`repro.toolchain.results.CompilationResult`
     (live or detached -- both carry metrics and timings).
     """
-    metrics = result.metrics
     lines: List[str] = []
     lines.append("Compilation report for %r on %r" % (result.name, result.processor))
     lines.append("-" * 60)
-    lines.append("code size:        %5d instruction words" % metrics.code_size)
-    lines.append("RT operations:    %5d (%d spills)"
-                 % (metrics.operation_count, metrics.spill_count))
-    lines.append("selection cost:   %5d over %d statement(s)"
-                 % (metrics.selection_cost, metrics.statement_count))
-    if "opt" in result.pass_timings:
-        lines.append("optimizer:        %5d -> %d IR node(s), %d rewrite(s), "
-                     "%d cse hit(s), %d temp(s)"
-                     % (metrics.opt_nodes_before, metrics.opt_nodes_after,
-                        metrics.opt_folds, metrics.opt_cse_hits,
-                        metrics.opt_temps))
-        lines.append("global opt:       %5d licm hoist(s), "
-                     "%d strength reduction(s), %d hardware loop(s)"
-                     % (metrics.opt_licm_hoisted,
-                        metrics.opt_strength_reductions, metrics.opt_hw_loops))
-    lines.append("labeller:         %5d node state(s), memo hit rate %.1f%% "
-                 "(tables built in %.6f s)"
-                 % (metrics.nodes_labelled, 100.0 * metrics.label_memo_hit_rate,
-                    metrics.tables_build_time_s))
-    lines.append("compile time:     %8.6f s total" % metrics.compile_time_s)
+    for f in fields(result.metrics):
+        value = getattr(result.metrics, f.name)
+        text = "%.6f" % value if isinstance(value, float) else "%d" % value
+        lines.append("%-24s %12s %s" % (f.name, text, f.metadata["unit"]))
+    lines.append("pass timings:")
     for pass_name, seconds in result.pass_timings.items():
         lines.append("    %-18s %10.6f s" % (pass_name, seconds))
-    if metrics.verify_checks:
-        lines.append("verify:           %8.6f s (%d check batch(es), "
-                     "not counted in compile time)"
-                     % (metrics.verify_time_s, metrics.verify_checks))
     for diagnostic in result.diagnostics:
         lines.append(str(diagnostic))
     return "\n".join(lines) + "\n"

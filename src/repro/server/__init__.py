@@ -31,15 +31,13 @@ from repro.server.http import (
     make_server,
     start_server,
 )
-from repro.server.metrics import LATENCY_BUCKETS, Histogram, ServerMetrics
+from repro.server.metrics import ServerMetrics
 
 __all__ = [
     "AdmissionGate",
     "CompileRequestHandler",
     "CompileServer",
     "DEFAULT_MAX_BODY_BYTES",
-    "Histogram",
-    "LATENCY_BUCKETS",
     "ServerMetrics",
     "make_server",
     "start_server",

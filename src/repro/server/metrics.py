@@ -3,38 +3,28 @@
 Every :class:`~repro.toolchain.results.CompilationResult` already
 carries a :class:`~repro.toolchain.results.CompileMetrics` block and
 per-pass wall-clock timings; the compile server only has to *aggregate*
-them.  :class:`ServerMetrics` is that aggregator, built on the shared
-counter/gauge/histogram primitives of :mod:`repro.obs.metrics` (one
-:class:`~repro.obs.metrics.MetricsRegistry` per server) --
-:meth:`record_compile` feeds it from each response envelope and
-:meth:`render` serializes it for ``GET /metrics``.
+them.  :class:`ServerMetrics` is that aggregator: it owns one
+:class:`~repro.obs.metrics.MetricsRegistry`, :meth:`record_compile`
+feeds it from each response envelope, and :meth:`render` (``GET
+/metrics``) is the registry's exposition -- the only one.
 
 Exported families (all prefixed ``repro_``):
 
-* ``repro_compile_requests_total{target=,status=}`` -- completed/failed
-  counts per target;
-* ``repro_compiles_per_second`` -- completion rate over the trailing
-  window (default 60s; exactly ``0.0`` once the window empties);
+* ``repro_compile_requests_total{target=,status=}``,
+  ``repro_compiles_per_second`` (trailing window, default 60s) and
+  ``repro_uptime_seconds``;
+* ``repro_compile_<field>_total{target=}`` -- one counter per non-ratio
+  ``CompileMetrics`` field, summed per target, with the field's help
+  text (a ``*_s`` field becomes ``repro_compile_<stem>_seconds_total``);
+  ``repro_label_memo_hit_rate`` is the node-weighted ratio field;
 * ``repro_http_requests_total{endpoint=,code=}`` and
-  ``repro_http_rejected_total`` -- front-end traffic and backpressure
-  rejections (429s);
-* ``repro_request_seconds`` -- service-time histogram per request;
-* ``repro_phase_seconds{phase=}`` -- per-pass latency histograms
-  aggregated from ``CompilationResult.pass_timings`` (lower, opt,
-  select, schedule, spill, compact, ...);
-* ``repro_target_phase_seconds_total{target=,phase=}`` -- cumulative
-  per-pass seconds broken down by target (where does each chip's
-  compile time go?);
-* ``repro_label_memo_hit_rate`` -- node-weighted labelling-memo hit
-  rate aggregated from ``CompileMetrics``;
-* ``repro_global_opt_total{target=,kind=}`` -- cumulative global
-  optimizer activity per target (``kind`` is ``licm_hoisted``,
-  ``strength_reductions`` or ``hw_loops``);
-* ``repro_retarget_cache_*`` / ``repro_session_pool_*`` /
-  ``repro_worker_*`` -- backend snapshot gauges taken at scrape time
-  from :meth:`CompileBackend.stats`, including per-worker
-  ``repro_worker_requests_total{worker=,status=}`` lines from the
-  process backend.
+  ``repro_http_rejected_total`` (429s);
+* ``repro_request_seconds`` and ``repro_phase_seconds{phase=}``
+  histograms, and ``repro_target_phase_seconds_total{target=,phase=}``,
+  all from ``CompilationResult.pass_timings``;
+* :data:`BACKEND_GAUGES`, set at scrape time from
+  :meth:`CompileBackend.stats`, and
+  ``repro_worker_requests_total{worker=,status=}`` per live worker.
 """
 
 from __future__ import annotations
@@ -42,15 +32,44 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import (  # noqa: F401  (re-exported for compatibility)
-    LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    format_labels as _labels,
-    format_value as _format_value,
+from repro.obs.metrics import MetricsRegistry
+from repro.toolchain.results import METRIC_FIELDS
+
+#: ``backend.stats()`` keys set on gauges at scrape time: (key, family,
+#: help).  ``pool_hit_rate`` is derived from ``pool_hits``/``pool_misses``.
+BACKEND_GAUGES = (
+    ("pool_hits", "repro_session_pool_hits_total",
+     "Session-pool lookups served from a pooled session."),
+    ("pool_misses", "repro_session_pool_misses_total",
+     "Session-pool lookups that built a new session."),
+    ("pool_hit_rate", "repro_session_pool_hit_rate", "Session-pool hit fraction."),
+    ("pool_retargets", "repro_retarget_cache_misses_total",
+     "Retargeting runs actually paid (retarget-cache misses)."),
+    ("pool_sessions", "repro_sessions", "Live pooled sessions across workers."),
+    ("workers", "repro_workers", "Live backend workers."),
+    ("crashes", "repro_worker_crashes_total", "Worker processes that died mid-request."),
+    ("respawns", "repro_worker_respawns_total",
+     "Worker processes respawned after a crash or timeout."),
+    ("timeouts", "repro_request_timeouts_total",
+     "Requests killed by their per-request timeout."),
+    ("backoff_waits", "repro_worker_backoff_waits_total",
+     "Respawns delayed by the crash-storm backoff."),
+    ("consecutive_crashes", "repro_worker_consecutive_crashes",
+     "Current worker crash streak (resets on a successful result)."),
 )
+
+
+def compile_family_name(field_name: str) -> str:
+    """The counter family summing one ``CompileMetrics`` field."""
+    if field_name.endswith("_s"):
+        field_name = field_name[:-2] + "_seconds"
+    return "repro_compile_%s_total" % field_name
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ServerMetrics:
@@ -69,6 +88,7 @@ class ServerMetrics:
         clock: Callable[[], float] = time.time,
     ):
         self._lock = threading.Lock()
+        self._scrape_lock = threading.Lock()
         self._clock = clock
         self._started = clock()
         self._backend_stats = backend_stats
@@ -76,48 +96,66 @@ class ServerMetrics:
         self._recent_completions: deque = deque()
         self._label_nodes = 0
         self._label_memo_hits = 0.0
-        self.registry = MetricsRegistry()
-        self._compile_requests = self.registry.counter(
+        self.registry = registry = MetricsRegistry()
+        self._compile_requests = registry.counter(
             "repro_compile_requests_total",
             "Compile requests by target and status.",
             labels=("target", "status"),
         )
-        self._http_requests = self.registry.counter(
+        self._http_requests = registry.counter(
             "repro_http_requests_total",
             "HTTP requests by endpoint and status code.",
             labels=("endpoint", "code"),
         )
-        self._http_rejected = self.registry.counter(
+        self._http_rejected = registry.counter(
             "repro_http_rejected_total",
             "Requests rejected with 429 (backpressure).",
         )
         self._http_rejected.inc(0)  # always present, even before traffic
-        self._request_seconds = self.registry.histogram(
+        self._request_seconds = registry.histogram(
             "repro_request_seconds",
             "Wall-clock service time per compile request.",
         )
         self._request_seconds.labels()  # render zero buckets before traffic
-        self._phase_seconds = self.registry.histogram(
+        self._phase_seconds = registry.histogram(
             "repro_phase_seconds",
             "Per-pass compile latency "
             "(aggregated from CompilationResult.pass_timings).",
             labels=("phase",),
         )
-        self._target_phase_seconds = self.registry.counter(
+        self._target_phase_seconds = registry.counter(
             "repro_target_phase_seconds_total",
             "Cumulative per-pass compile seconds by target.",
             labels=("target", "phase"),
         )
-        self._labelled_nodes = self.registry.counter(
-            "repro_labelled_nodes_total",
-            "Subject-tree nodes labelled.",
+        self._compile_families = [
+            (f.name, registry.counter(
+                compile_family_name(f.name), f.metadata["help"], labels=("target",)
+            ))
+            for f in METRIC_FIELDS
+            if f.metadata["unit"] != "ratio"
+        ]
+        # target -> [(field, counter child)], resolved once per target.
+        self._compile_counters: Dict[str, List[Tuple[str, object]]] = {}
+        self._backend_gauges = [
+            (key, registry.gauge(name, help_text)) for key, name, help_text in BACKEND_GAUGES
+        ]
+        self._worker_requests = registry.gauge(
+            "repro_worker_requests_total",
+            "Requests served per live worker.",
+            labels=("worker", "status"),
         )
-        self._labelled_nodes.inc(0)
-        self._global_opt = self.registry.counter(
-            "repro_global_opt_total",
-            "Global optimizer activity by target "
-            "(licm_hoisted, strength_reductions, hw_loops).",
-            labels=("target", "kind"),
+        registry.gauge_callback(
+            "repro_uptime_seconds", "Seconds since server start.",
+            lambda: self._clock() - self._started,
+        )
+        registry.gauge_callback(
+            "repro_compiles_per_second", "Completion rate over the trailing window.",
+            self.compiles_per_second,
+        )
+        registry.gauge_callback(
+            "repro_label_memo_hit_rate", "Node-weighted labelling-memo hit rate.",
+            self._label_memo_hit_rate,
         )
 
     # -- recording ---------------------------------------------------------------
@@ -152,21 +190,26 @@ class ServerMetrics:
             self._target_phase_seconds.labels(target=target, phase=phase).inc(
                 float(seconds)
             )
-        for kind, key in (
-            ("licm_hoisted", "opt_licm_hoisted"),
-            ("strength_reductions", "opt_strength_reductions"),
-            ("hw_loops", "opt_hw_loops"),
-        ):
-            value = metrics.get(key)
-            if isinstance(value, int) and value > 0:
-                self._global_opt.labels(target=target, kind=kind).inc(value)
-        nodes = metrics.get("nodes_labelled")
-        rate = metrics.get("label_memo_hit_rate")
-        if isinstance(nodes, int) and nodes > 0 and isinstance(rate, (int, float)):
-            self._labelled_nodes.inc(nodes)
-            with self._lock:
-                self._label_nodes += nodes
-                self._label_memo_hits += nodes * float(rate)
+        if not metrics:
+            return
+        for name, counter in self._counters_for(target):
+            value = metrics.get(name)
+            if value is not None:
+                counter.inc(value)
+        nodes = metrics.get("nodes_labelled") or 0
+        with self._lock:
+            self._label_nodes += nodes
+            self._label_memo_hits += nodes * (metrics.get("label_memo_hit_rate") or 0.0)
+
+    def _counters_for(self, target: str) -> List[Tuple[str, object]]:
+        counters = self._compile_counters.get(target)
+        if counters is None:
+            counters = [
+                (name, family.labels(target=target))
+                for name, family in self._compile_families
+            ]
+            self._compile_counters[target] = counters
+        return counters
 
     def _trim_recent(self, now: float) -> None:
         horizon = now - self._rate_window_s
@@ -190,6 +233,10 @@ class ServerMetrics:
             window = min(self._rate_window_s, max(now - self._started, 1e-9))
             return len(self._recent_completions) / window if window else 0.0
 
+    def _label_memo_hit_rate(self) -> float:
+        with self._lock:
+            return self._label_memo_hits / self._label_nodes if self._label_nodes else 0.0
+
     def _status_totals(self) -> dict:
         totals = {"ok": 0, "error": 0}
         for label_dict, child in self._compile_requests.collect():
@@ -211,112 +258,33 @@ class ServerMetrics:
 
     def render(self) -> str:
         """The full Prometheus text exposition."""
-        backend_stats = {}
+        with self._scrape_lock:
+            self._sample_backend()
+            return self.registry.render()
+
+    def _sample_backend(self) -> None:
+        """Set the backend gauges from one ``backend.stats()`` snapshot.
+
+        A key the snapshot lacks (or a failing stats callable) leaves its
+        family without a sample, and only live workers get
+        ``repro_worker_requests_total`` samples.
+        """
+        stats = {}
         if self._backend_stats is not None:
             try:
-                backend_stats = dict(self._backend_stats())
+                stats = dict(self._backend_stats())
             except Exception:
-                backend_stats = {}
-        per_second = self.compiles_per_second()
-        with self._lock:
-            memo_rate = (
-                self._label_memo_hits / self._label_nodes
-                if self._label_nodes
-                else 0.0
-            )
-        lines: List[str] = []
-        lines.append("# HELP repro_uptime_seconds Seconds since server start.")
-        lines.append("# TYPE repro_uptime_seconds gauge")
-        lines.append("repro_uptime_seconds %s" % repr(self._clock() - self._started))
-        lines.extend(self._compile_requests.render())
-        lines.append(
-            "# HELP repro_compiles_per_second Completion rate over the trailing window."
-        )
-        lines.append("# TYPE repro_compiles_per_second gauge")
-        lines.append("repro_compiles_per_second %s" % repr(per_second))
-        lines.extend(self._http_requests.render())
-        lines.extend(self._http_rejected.render())
-        lines.extend(self._request_seconds.render())
-        lines.extend(self._phase_seconds.render())
-        lines.extend(self._target_phase_seconds.render())
-        lines.append(
-            "# HELP repro_label_memo_hit_rate Node-weighted labelling-memo hit rate."
-        )
-        lines.append("# TYPE repro_label_memo_hit_rate gauge")
-        lines.append("repro_label_memo_hit_rate %s" % repr(memo_rate))
-        lines.extend(self._labelled_nodes.render())
-        lines.extend(self._global_opt.render())
-        lines.extend(self._render_backend(backend_stats))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _render_backend(stats: dict) -> List[str]:
-        """Gauge lines from one backend.stats() snapshot.
-
-        The thread backend exposes ``pool_hits``/``pool_misses``/
-        ``pool_retargets`` directly; the process backend aggregates the
-        same keys across workers, adds crash/respawn/timeout counters
-        and a ``per_worker`` list rendered as
-        ``repro_worker_requests_total{status=,worker=}``.
-        """
-        lines: List[str] = []
-        gauges = (
-            ("pool_hits", "repro_session_pool_hits_total",
-             "Session-pool lookups served from a pooled session."),
-            ("pool_misses", "repro_session_pool_misses_total",
-             "Session-pool lookups that built a new session."),
-            ("pool_retargets", "repro_retarget_cache_misses_total",
-             "Retargeting runs actually paid (retarget-cache misses)."),
-            ("pool_sessions", "repro_sessions",
-             "Live pooled sessions across workers."),
-            ("workers", "repro_workers", "Live backend workers."),
-            ("crashes", "repro_worker_crashes_total",
-             "Worker processes that died mid-request."),
-            ("respawns", "repro_worker_respawns_total",
-             "Worker processes respawned after a crash or timeout."),
-            ("timeouts", "repro_request_timeouts_total",
-             "Requests killed by their per-request timeout."),
-            ("backoff_waits", "repro_worker_backoff_waits_total",
-             "Respawns delayed by the crash-storm backoff."),
-            ("consecutive_crashes", "repro_worker_consecutive_crashes",
-             "Current worker crash streak (resets on a successful result)."),
-        )
-        for key, name, help_text in gauges:
-            value = stats.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            lines.append("# HELP %s %s" % (name, help_text))
-            lines.append("# TYPE %s gauge" % name)
-            lines.append("%s %s" % (name, _format_value(value)))
-        hits = stats.get("pool_hits")
-        misses = stats.get("pool_misses")
-        if isinstance(hits, int) and isinstance(misses, int) and (hits + misses):
-            lines.append(
-                "# HELP repro_session_pool_hit_rate Session-pool hit fraction."
-            )
-            lines.append("# TYPE repro_session_pool_hit_rate gauge")
-            lines.append(
-                "repro_session_pool_hit_rate %s" % repr(hits / (hits + misses))
-            )
-        per_worker = stats.get("per_worker")
-        if isinstance(per_worker, list) and per_worker:
-            lines.append(
-                "# HELP repro_worker_requests_total Requests served per live worker."
-            )
-            lines.append("# TYPE repro_worker_requests_total gauge")
-            for entry in per_worker:
-                if not isinstance(entry, dict):
-                    continue
-                worker = str(entry.get("worker", "") or "")
-                for status, key in (("ok", "completed"), ("error", "failed")):
-                    value = entry.get(key)
-                    if not isinstance(value, (int, float)):
-                        continue
-                    lines.append(
-                        "repro_worker_requests_total%s %s"
-                        % (
-                            _labels({"worker": worker, "status": status}),
-                            _format_value(value),
-                        )
-                    )
-        return lines
+                stats = {}
+        hits, misses = stats.get("pool_hits"), stats.get("pool_misses")
+        if _is_number(hits) and _is_number(misses) and hits + misses:
+            stats["pool_hit_rate"] = hits / (hits + misses)
+        for key, family in self._backend_gauges:
+            family.clear()
+            if _is_number(stats.get(key)):
+                family.set(stats[key])
+        self._worker_requests.clear()
+        for entry in stats.get("per_worker") or ():
+            worker = str(entry.get("worker", "") or "")
+            for status, key in (("ok", "completed"), ("error", "failed")):
+                if _is_number(entry.get(key)):
+                    self._worker_requests.labels(worker=worker, status=status).set(entry[key])

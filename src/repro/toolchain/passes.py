@@ -185,7 +185,7 @@ class CompilationState:
     pass_timings: Dict[str, float] = field(default_factory=dict)
     diagnostics: List["Diagnostic"] = field(default_factory=list)
     # Labeller statistics of this run's selection pass (nodes labelled,
-    # memo hits/misses, table provenance); flows into CompileMetrics.
+    # memo hits/misses); flows into CompileMetrics.
     selection_stats: Dict[str, float] = field(default_factory=dict)
     # Statistics of this run's IR optimization pass (None when the
     # optimizer did not run); flows into CompileMetrics as well.
@@ -335,7 +335,6 @@ class SelectionPass(Pass):
             "memo_hits": hits,
             "memo_misses": misses,
             "memo_hit_rate": (hits / lookups) if lookups else 0.0,
-            "tables_build_time_s": selector.tables.build_time_s,
         }
 
 
@@ -345,19 +344,14 @@ class SchedulingPass(Pass):
     name = "schedule"
 
     def run(self, state: CompilationState, context: PassContext) -> None:
-        if state.block_codes:
-            # Per-block walk over the same StatementCode objects the
-            # flat list aliases (all_codes() includes the terminator
-            # pseudo-code), so scheduling is identical to the flat loop
-            # but attributable per block in a trace.
-            tracer = current_tracer()
-            for block_code in state.block_codes:
-                with tracer.span("schedule:block", block=block_code.name):
-                    for code in block_code.all_codes():
-                        code.instances = schedule_instances(code.instances)
-            return
-        for code in state.statement_codes:
-            code.instances = schedule_instances(code.instances)
+        # Per-block walk over the same StatementCode objects the flat
+        # list aliases (all_codes() includes the terminator pseudo-code),
+        # so each block is attributable in a trace.
+        tracer = current_tracer()
+        for block_code in state.block_codes:
+            with tracer.span("schedule:block", block=block_code.name):
+                for code in block_code.all_codes():
+                    code.instances = schedule_instances(code.instances)
 
 
 class SpillPass(Pass):
@@ -435,7 +429,7 @@ def _pass_span_attributes(name: str, state: CompilationState) -> Dict[str, objec
         stats = state.selection_stats or {}
         return {
             "nodes_labelled": int(stats.get("nodes_labelled", 0)),
-            "memo_hit_rate": round(float(stats.get("memo_hit_rate", 0.0)), 4),
+            "label_memo_hit_rate": round(float(stats.get("memo_hit_rate", 0.0)), 4),
             "blocks": len(state.block_codes),
         }
     if name == "opt":
@@ -443,10 +437,10 @@ def _pass_span_attributes(name: str, state: CompilationState) -> Dict[str, objec
         if stats is None:
             return {}
         return {
-            "folds": stats.folds + stats.algebraic,
-            "cse_hits": stats.cse_hits,
-            "nodes_before": stats.nodes_before,
-            "nodes_after": stats.nodes_after,
+            "opt_folds": stats.folds + stats.algebraic,
+            "opt_cse_hits": stats.cse_hits,
+            "opt_nodes_before": stats.nodes_before,
+            "opt_nodes_after": stats.nodes_after,
         }
     if name == "compact":
         return {"words": len(state.words)}

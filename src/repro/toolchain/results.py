@@ -5,8 +5,11 @@ It carries three layers of information:
 
 * **metrics** -- a :class:`CompileMetrics` block with the quantities the
   paper's experiments report (code size, RT operations, spills, selection
-  cost) plus per-pass wall-clock timings recorded by
-  :class:`~repro.toolchain.passes.PassManager`;
+  cost) and the labeller, optimizer and verifier counters, plus per-pass
+  wall-clock timings recorded by
+  :class:`~repro.toolchain.passes.PassManager`.  :class:`CompileMetrics`
+  is the one metrics schema: JSON, ``repro compile --timings`` and the
+  server's Prometheus families derive from its fields;
 * **views** -- named, human-readable renderings: the instruction
   ``listing``, the binary ``encoding`` (when the encode pass ran) and an
   RT-level ``simulation_trace`` computed through
@@ -26,7 +29,8 @@ process-local objects); accessing them raises
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.compaction import InstructionWord, code_size
@@ -36,57 +40,60 @@ from repro.codegen.spill import count_spills
 from repro.diagnostics import Diagnostic, ResultError
 from repro.ir.binding import ResourceBinding
 from repro.ir.program import Program
+from repro.opt.pipeline import OptStats
 from repro.toolchain.passes import CompilationState, PipelineConfig
 
 #: Bump when the dict layout of :meth:`CompilationResult.to_dict` changes.
 RESULT_SCHEMA_VERSION = 1
 
 
+def _metric(unit: str, help_text: str, default=MISSING):
+    """A :class:`CompileMetrics` field declaring its unit and help text."""
+    return field(default=default, metadata={"unit": unit, "help": help_text})
+
+
 @dataclass(frozen=True)
 class CompileMetrics:
-    """The scalar quantities of one compilation (figure-2 metrics plus
-    bookkeeping the service layer reports per request).
+    """The scalar quantities of one compilation: the one metrics schema.
 
-    The labeller block (``nodes_labelled``, ``label_memo_hit_rate``,
-    ``tables_build_time_s``) describes the table-driven BURS matcher:
-    how many node states this compile materialized, which fraction came
-    out of the structural memo, and how long the offline table generation
-    this selector runs on took at retarget time.
-
-    The optimizer block (``opt_nodes_before``, ``opt_nodes_after``,
-    ``opt_folds``, ``opt_cse_hits``, ``opt_temps``) summarizes the IR
-    optimization pass that ran ahead of selection: IR node counts in/out,
-    rewrites applied (constant folds plus algebraic simplifications), CSE
-    occurrences served from a temporary, and temporaries materialized.
-    The global-optimizer block (``opt_licm_hoisted``,
-    ``opt_strength_reductions``, ``opt_hw_loops``) counts loop-invariant
-    statements/temporaries hoisted into preheaders, strength-reduced
-    multiplication occurrences, and counted loops annotated for
-    hardware-loop codegen.  All zeros when the pipeline was configured
-    with ``use_optimizer=False``.
+    Each field declares its ``unit`` and ``help`` text in its metadata,
+    and :meth:`to_dict`/:meth:`from_dict`, ``repro compile --timings``
+    and the server's ``repro_compile_<field>_total`` families all derive
+    from :data:`METRIC_FIELDS`.  Every value is a number >= 0 and a
+    ``ratio`` is at most 1; construction raises
+    :class:`~repro.diagnostics.ResultError` otherwise.  The ``opt_*``
+    fields are zero when the optimizer did not run, ``verify_*`` when
+    :attr:`PipelineConfig.verify` was off.
     """
 
-    code_size: int
-    operation_count: int
-    spill_count: int
-    selection_cost: int
-    statement_count: int
-    compile_time_s: float
-    nodes_labelled: int = 0
-    label_memo_hit_rate: float = 0.0
-    tables_build_time_s: float = 0.0
-    opt_nodes_before: int = 0
-    opt_nodes_after: int = 0
-    opt_folds: int = 0
-    opt_cse_hits: int = 0
-    opt_temps: int = 0
-    opt_licm_hoisted: int = 0
-    opt_strength_reductions: int = 0
-    opt_hw_loops: int = 0
-    # Static-verifier accounting (zero when PipelineConfig.verify was
-    # off); verify time is *not* part of compile_time_s.
-    verify_time_s: float = 0.0
-    verify_checks: int = 0
+    code_size: int = _metric("words", "Instruction words after compaction (figure 2).")
+    operation_count: int = _metric("ops", "RT operations, spill code included.")
+    spill_count: int = _metric("ops", "Spill transfers inserted under storage pressure.")
+    selection_cost: int = _metric("cost", "Summed cost of the selected covers.")
+    statement_count: int = _metric("statements", "Source statements covered.")
+    compile_time_s: float = _metric("s", "Compile wall time, the sum of the pass timings.")
+    nodes_labelled: int = _metric("nodes", "Node states the labeller materialized.", 0)
+    label_memo_hit_rate: float = _metric("ratio", "Share of node states from the memo.", 0.0)
+    opt_nodes_before: int = _metric("nodes", "IR nodes entering the optimizer.", 0)
+    opt_nodes_after: int = _metric("nodes", "IR nodes leaving the optimizer.", 0)
+    opt_folds: int = _metric("rewrites", "Constant folds and algebraic rewrites.", 0)
+    opt_cse_hits: int = _metric("hits", "Subexpressions served from a CSE temporary.", 0)
+    opt_temps: int = _metric("temps", "Optimizer temporaries materialized.", 0)
+    opt_licm_hoisted: int = _metric("hoists", "Loop-invariant code hoisted to preheaders.", 0)
+    opt_strength_reductions: int = _metric("rewrites", "Multiplications strength-reduced.", 0)
+    opt_hw_loops: int = _metric("loops", "Counted loops lowered to hardware loops.", 0)
+    verify_time_s: float = _metric("s", "Static verifier time, not in compile_time_s.", 0.0)
+    verify_checks: int = _metric("batches", "Static verifier check batches run.", 0)
+
+    def __post_init__(self):
+        for f in METRIC_FIELDS:
+            value = getattr(self, f.name)
+            bound = 1 if f.metadata["unit"] == "ratio" else math.inf
+            if not isinstance(value, (int, float)) or not 0 <= value <= bound:
+                raise ResultError(
+                    "CompileMetrics.%s = %r: every metric is a number >= 0 "
+                    "and a ratio is at most 1" % (f.name, value)
+                )
 
     @property
     def opt_gvn_hits(self) -> int:
@@ -94,51 +101,17 @@ class CompileMetrics:
         return 0
 
     def to_dict(self) -> dict:
-        return {
-            "code_size": self.code_size,
-            "operation_count": self.operation_count,
-            "spill_count": self.spill_count,
-            "selection_cost": self.selection_cost,
-            "statement_count": self.statement_count,
-            "compile_time_s": self.compile_time_s,
-            "nodes_labelled": self.nodes_labelled,
-            "label_memo_hit_rate": self.label_memo_hit_rate,
-            "tables_build_time_s": self.tables_build_time_s,
-            "opt_nodes_before": self.opt_nodes_before,
-            "opt_nodes_after": self.opt_nodes_after,
-            "opt_folds": self.opt_folds,
-            "opt_cse_hits": self.opt_cse_hits,
-            "opt_temps": self.opt_temps,
-            "opt_licm_hoisted": self.opt_licm_hoisted,
-            "opt_strength_reductions": self.opt_strength_reductions,
-            "opt_hw_loops": self.opt_hw_loops,
-            "verify_time_s": self.verify_time_s,
-            "verify_checks": self.verify_checks,
-        }
+        return {f.name: getattr(self, f.name) for f in METRIC_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompileMetrics":
-        return cls(
-            code_size=data["code_size"],
-            operation_count=data["operation_count"],
-            spill_count=data["spill_count"],
-            selection_cost=data["selection_cost"],
-            statement_count=data["statement_count"],
-            compile_time_s=data["compile_time_s"],
-            nodes_labelled=data.get("nodes_labelled", 0),
-            label_memo_hit_rate=data.get("label_memo_hit_rate", 0.0),
-            tables_build_time_s=data.get("tables_build_time_s", 0.0),
-            opt_nodes_before=data.get("opt_nodes_before", 0),
-            opt_nodes_after=data.get("opt_nodes_after", 0),
-            opt_folds=data.get("opt_folds", 0),
-            opt_cse_hits=data.get("opt_cse_hits", 0),
-            opt_temps=data.get("opt_temps", 0),
-            opt_licm_hoisted=data.get("opt_licm_hoisted", 0),
-            opt_strength_reductions=data.get("opt_strength_reductions", 0),
-            opt_hw_loops=data.get("opt_hw_loops", 0),
-            verify_time_s=data.get("verify_time_s", 0.0),
-            verify_checks=data.get("verify_checks", 0),
-        )
+        # Keys that are not fields (``tables_build_time_s`` in older
+        # results) are ignored.
+        return cls(**{f.name: data[f.name] for f in METRIC_FIELDS if f.name in data})
+
+
+#: The schema, in declaration order.
+METRIC_FIELDS = fields(CompileMetrics)
 
 
 @dataclass(frozen=True)
@@ -224,8 +197,7 @@ class CompilationResult:
     ) -> "CompilationResult":
         """Build a result from one finished :class:`CompilationState`."""
         instances = state.all_instances()
-        selection_stats = getattr(state, "selection_stats", None) or {}
-        opt_stats = getattr(state, "opt_stats", None)
+        opt_stats = state.opt_stats or OptStats()
         metrics = CompileMetrics(
             code_size=code_size(state.words),
             operation_count=len(instances),
@@ -235,21 +207,18 @@ class CompilationResult:
                 1 for code in state.statement_codes if not is_control_code(code)
             ),
             compile_time_s=sum(state.pass_timings.values()),
-            nodes_labelled=int(selection_stats.get("nodes_labelled", 0)),
-            label_memo_hit_rate=float(selection_stats.get("memo_hit_rate", 0.0)),
-            tables_build_time_s=float(selection_stats.get("tables_build_time_s", 0.0)),
-            opt_nodes_before=opt_stats.nodes_before if opt_stats else 0,
-            opt_nodes_after=opt_stats.nodes_after if opt_stats else 0,
-            opt_folds=(opt_stats.folds + opt_stats.algebraic) if opt_stats else 0,
-            opt_cse_hits=opt_stats.cse_hits if opt_stats else 0,
-            opt_temps=opt_stats.temps_introduced if opt_stats else 0,
-            opt_licm_hoisted=opt_stats.licm_hoisted if opt_stats else 0,
-            opt_strength_reductions=(
-                opt_stats.strength_reductions if opt_stats else 0
-            ),
-            opt_hw_loops=opt_stats.hw_loops if opt_stats else 0,
-            verify_time_s=getattr(state, "verify_time_s", 0.0),
-            verify_checks=getattr(state, "verify_checks", 0),
+            nodes_labelled=int(state.selection_stats.get("nodes_labelled", 0)),
+            label_memo_hit_rate=float(state.selection_stats.get("memo_hit_rate", 0.0)),
+            opt_nodes_before=opt_stats.nodes_before,
+            opt_nodes_after=opt_stats.nodes_after,
+            opt_folds=opt_stats.folds + opt_stats.algebraic,
+            opt_cse_hits=opt_stats.cse_hits,
+            opt_temps=opt_stats.temps_introduced,
+            opt_licm_hoisted=opt_stats.licm_hoisted,
+            opt_strength_reductions=opt_stats.strength_reductions,
+            opt_hw_loops=opt_stats.hw_loops,
+            verify_time_s=state.verify_time_s,
+            verify_checks=state.verify_checks,
         )
         return cls(
             name=program.name,
@@ -437,16 +406,3 @@ class CompilationResult:
     @classmethod
     def from_json(cls, text: str) -> "CompilationResult":
         return cls.from_dict(json.loads(text))
-
-    # -- reporting ----------------------------------------------------------------
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "processor": self.processor,
-            "code_size": self.code_size,
-            "operation_count": self.operation_count,
-            "spill_count": self.spill_count,
-            "selection_cost": self.selection_cost,
-            "compile_time_s": self.metrics.compile_time_s,
-        }

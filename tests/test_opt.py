@@ -818,4 +818,4 @@ class TestOptCli:
             ["compile", "demo", "--kernel", "real_update", "--timings", "--no-cache"]
         ) == 0
         output = capsys.readouterr().out
-        assert "optimizer:" in output
+        assert "opt_nodes_before" in output and "opt_folds" in output

@@ -22,7 +22,7 @@ from repro.analysis.loops import (
     natural_loops,
     render_forest,
 )
-from repro.dspstone import kernel_program, loop_kernel_names
+from repro.dspstone import all_kernel_names, kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
 from repro.fuzz.generator import LOOP_HEAVY_CONFIG, generate_source
 from repro.ir.program import (
@@ -37,6 +37,7 @@ from repro.ir.expr import Const, Op, VarRef
 from repro.opt import OPT_TEMP_PREFIXES, OptPipeline, optimize_program
 from repro.opt.loops import annotate_hardware_loops, find_counted_loops
 from repro.toolchain import Session
+from repro.toolchain.results import METRIC_FIELDS
 
 SEEDS = (0, 1, 2)
 
@@ -600,3 +601,23 @@ class TestStatsInvariants:
             for key, value in stats.to_dict().items():
                 if isinstance(value, int):
                     assert value >= 0, (seed, key, value)
+
+    def test_compile_metrics_obey_their_declared_invariants(self, retarget_results):
+        def check(session, program):
+            metrics = session.compile_program(program).metrics
+            for f in METRIC_FIELDS:
+                value = getattr(metrics, f.name)
+                assert value >= 0, (program.name, f.name, value)
+                if f.metadata["unit"] == "ratio":
+                    assert value <= 1, (program.name, f.name, value)
+
+        kernels = all_kernel_names() + loop_kernel_names()
+        for target in ("demo", "ref", "tms320c25"):
+            session = Session(retarget_results[target])
+            for name in kernels:
+                check(session, kernel_program(name))
+            if target == "demo":
+                continue  # almost no loop-heavy program compiles on demo
+            for seed in range(40):
+                source = generate_source(seed, LOOP_HEAVY_CONFIG)
+                check(session, lower_to_program(source, name="loops%d" % seed))

@@ -19,6 +19,7 @@ from repro.toolchain import (
     Session,
     StatementArtifact,
 )
+from repro.toolchain.results import METRIC_FIELDS
 
 SOURCE = "int a, b, c, d; d = c + a * b;"
 
@@ -159,6 +160,74 @@ class TestSpillDiagnostics:
 
     def test_spill_free_compilation_has_no_spill_diagnostic(self, result):
         assert not [d for d in result.diagnostics if d.phase == "spill"]
+
+
+class TestMetricsSchema:
+    """``CompileMetrics`` is the one declaration every consumer derives from."""
+
+    def test_every_field_declares_unit_and_help(self):
+        for f in METRIC_FIELDS:
+            assert f.metadata["unit"] and f.metadata["help"], f.name
+
+    def test_to_dict_keys_are_the_field_names(self, result):
+        assert list(result.metrics.to_dict()) == [f.name for f in METRIC_FIELDS]
+        assert result.metrics.to_dict() == dataclasses.asdict(result.metrics)
+
+    def test_from_dict_round_trips_and_loads_results_with_dropped_keys(self, result):
+        data = result.metrics.to_dict()
+        assert CompileMetrics.from_dict(data) == result.metrics
+        older = dict(data, tables_build_time_s=0.25)
+        assert CompileMetrics.from_dict(older) == result.metrics
+
+    def test_report_has_a_line_for_every_field(self, result):
+        lines = compilation_report(result).splitlines()
+        for f in METRIC_FIELDS:
+            assert any(
+                line.split()[0] == f.name and line.split()[-1] == f.metadata["unit"]
+                for line in lines
+                if line.strip()
+            ), f.name
+
+    def test_metrics_exposition_has_a_family_for_every_summed_field(self, result):
+        from repro.server.metrics import ServerMetrics, compile_family_name
+
+        server = ServerMetrics()
+        envelope = {"target": "tms320c25", "ok": True, "result": result.to_dict()}
+        server.record_compile(envelope)
+        server.record_compile(envelope)
+        text = server.render()
+        for f in METRIC_FIELDS:
+            if f.metadata["unit"] == "ratio":
+                continue
+            family = compile_family_name(f.name)
+            assert "# HELP %s %s" % (family, f.metadata["help"]) in text
+            assert "# TYPE %s counter" % family in text
+            sample = '%s{target="tms320c25"} ' % family
+            [line] = [line for line in text.splitlines() if line.startswith(sample)]
+            expected = 2 * getattr(result.metrics, f.name)
+            assert float(line.split()[-1]) == pytest.approx(expected), f.name
+        rate = result.metrics.label_memo_hit_rate
+        memo = "repro_label_memo_hit_rate "
+        [line] = [line for line in text.splitlines() if line.startswith(memo)]
+        assert float(line.split()[-1]) == pytest.approx(rate)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"spill_count": -1},
+            {"compile_time_s": -0.5},
+            {"opt_cse_hits": -1},
+            {"label_memo_hit_rate": 1.5},
+            {"label_memo_hit_rate": float("nan")},
+            {"code_size": "4"},
+        ],
+    )
+    def test_invariant_violations_raise(self, result, override):
+        data = dict(result.metrics.to_dict(), **override)
+        with pytest.raises(ResultError, match=next(iter(override))):
+            CompileMetrics.from_dict(data)
+        with pytest.raises(ResultError):
+            dataclasses.replace(result.metrics, **override)
 
 
 class TestOneCompileAPI:

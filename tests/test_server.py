@@ -17,12 +17,8 @@ import urllib.request
 
 import pytest
 
-from repro.server import (
-    AdmissionGate,
-    Histogram,
-    ServerMetrics,
-    start_server,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.server import AdmissionGate, ServerMetrics, start_server
 from repro.service import (
     BackendError,
     CompileBackend,
@@ -57,6 +53,38 @@ def _post_expecting_error(url: str, payload=None, raw: bytes = None) -> tuple:
 # ---------------------------------------------------------------------------
 # backend construction
 # ---------------------------------------------------------------------------
+
+
+def _parse_exposition(text: str):
+    """Parse Prometheus text into ``(types, samples)``: family -> type and
+    family -> {sample suffix and labels -> value}.  Asserts that every
+    sample sits in the block of a family rendered once, with exactly one
+    ``# HELP`` and one ``# TYPE`` line ahead of its samples."""
+    helps, types, samples = set(), {}, {}
+    current = None
+    for line in text.splitlines():
+        if line.startswith("# HELP "):
+            name = line.split()[2]
+            assert name not in helps, "two HELP lines for %s" % name
+            helps.add(name)
+        elif line.startswith("# TYPE "):
+            _, _, current, kind = line.split()
+            assert current in helps and current not in types, current
+            types[current] = kind
+            samples[current] = {}
+        else:
+            metric, value = line.rsplit(" ", 1)
+            name = metric.partition("{")[0]
+            if types.get(current) == "histogram" and name in (
+                current + "_bucket", current + "_sum", current + "_count"
+            ):
+                name = current
+            assert name == current, "sample %r outside its family block" % line
+            key = metric[len(current):]
+            assert key not in samples[current], "duplicate sample %r" % line
+            samples[current][key] = float(value)
+    assert helps == set(types)
+    return types, samples
 
 
 class TestBackendConstruction:
@@ -338,6 +366,8 @@ class TestHttpEndpoints:
         assert "repro_label_memo_hit_rate" in text
         assert "repro_session_pool_hits_total" in text
         assert "repro_retarget_cache_misses_total" in text
+        _types, samples = _parse_exposition(text)
+        assert samples["repro_compile_code_size_total"]['{target="demo"}'] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +584,58 @@ class TestMetricsUnits:
         total = [line for line in lines if line.startswith("t_sum")]
         assert total and abs(float(total[0].split()[1]) - 5.555) < 1e-9
 
+    def test_counter_rejects_a_negative_increment(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("t_total", "A counter.")
+        counter.inc(2)
+        with pytest.raises(ValueError):
+            counter.inc(-1)
+        with pytest.raises(ValueError):
+            counter.labels().inc(-0.5)
+        assert counter.labels().value == 2
+        registry.gauge("g", "A gauge.").inc(-1)  # gauges may go down
+
+    def test_callback_gauges_format_like_families(self):
+        registry = MetricsRegistry()
+        registry.gauge("family", "A family.").set(9.0)
+        registry.gauge_callback("callback", "A callback.", lambda: 9.0)
+        registry.gauge_callback("fraction", "A callback.", lambda: 0.25)
+        lines = registry.render().splitlines()
+        assert "family 9" in lines and "callback 9" in lines
+        assert "fraction 0.25" in lines
+
+    def test_exposition_has_one_header_per_family_and_monotone_counters(self):
+        stats = {
+            "pool_hits": 3, "pool_misses": 1, "workers": 2,
+            "per_worker": [{"worker": "g0", "completed": 2, "failed": 0}],
+        }
+        metrics = ServerMetrics(backend_stats=lambda: stats)
+        envelope = {
+            "target": "demo",
+            "ok": True,
+            "elapsed_s": 0.01,
+            "result": {
+                "pass_timings": {"opt": 0.001, "select": 0.002},
+                "metrics": {"code_size": 4, "compile_time_s": 0.003,
+                            "nodes_labelled": 7, "label_memo_hit_rate": 0.5},
+            },
+        }
+        metrics.record_compile(envelope)
+        metrics.record_http("/compile", 200)
+        types, before = _parse_exposition(metrics.render())
+        for target in ("demo", "ref"):
+            metrics.record_compile(dict(envelope, target=target))
+        metrics.record_compile({"target": "ref", "ok": False})
+        metrics.record_http("/compile", 429)
+        _types, after = _parse_exposition(metrics.render())
+        counters = [name for name, kind in types.items() if kind == "counter"]
+        assert "repro_compile_code_size_total" in counters
+        for name in counters:
+            for key, value in before[name].items():
+                assert after[name][key] >= value, (name, key)
+        assert after["repro_compile_code_size_total"]['{target="demo"}'] == 8
+        assert after["repro_compile_code_size_total"]['{target="ref"}'] == 4
+
     def test_server_metrics_aggregates_response_envelopes(self):
         metrics = ServerMetrics()
         metrics.record_compile(
@@ -581,7 +663,7 @@ class TestMetricsUnits:
         assert 'repro_compile_requests_total{status="error",target="demo"} 1' in text
         assert 'repro_phase_seconds_count{phase="select"} 1' in text
         assert "repro_label_memo_hit_rate 0.25" in text
-        assert "repro_labelled_nodes_total 100" in text
+        assert 'repro_compile_nodes_labelled_total{target="demo"} 100' in text
 
     def test_backend_stats_become_gauges_at_render_time(self):
         stats = {
@@ -617,7 +699,7 @@ class TestMetricsUnits:
         assert busy > 0.0
         clock[0] += 61.0  # one window past the last completion
         assert metrics.compiles_per_second() == 0.0
-        assert "repro_compiles_per_second 0.0" in metrics.render()
+        assert "repro_compiles_per_second 0\n" in metrics.render()
         assert metrics.snapshot()["compiles_per_second"] == 0.0
 
     def test_per_worker_stats_render_as_labelled_gauges(self):

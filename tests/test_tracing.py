@@ -67,9 +67,11 @@ class TestGoldenTraceShape:
         result = session.compile_program(_kernel("fir"), tracer=tracer)
         select = _spans_named(result.trace, "pass:select")[0]
         assert select["args"]["nodes_labelled"] > 0
-        assert 0.0 <= select["args"]["memo_hit_rate"] <= 1.0
+        assert 0.0 <= select["args"]["label_memo_hit_rate"] <= 1.0
         opt = _spans_named(result.trace, "pass:opt")[0]
-        assert "nodes_before" in opt["args"]
+        assert {"opt_folds", "opt_cse_hits", "opt_nodes_before", "opt_nodes_after"} <= set(
+            opt["args"]
+        )
         compact = _spans_named(result.trace, "pass:compact")[0]
         assert compact["args"]["words"] == result.code_size
 
