@@ -19,7 +19,7 @@ import pytest
 from repro.dspstone import kernel_program
 from repro.expansion import ExpansionOptions
 from repro.record.retarget import retarget
-from repro.targets.library import target_hdl_source
+from repro.targets import target_hdl_source
 from repro.toolchain import PipelineConfig, Session
 
 _KERNELS = ["real_update", "fir", "biquad_one", "dot_product"]

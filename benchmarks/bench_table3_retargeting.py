@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.record.retarget import retarget
-from repro.targets.library import all_target_names, target_hdl_source
+from repro.targets import all_target_names, target_hdl_source
 
 # Paper values (DATE 1997, table 3) for side-by-side comparison in reports.
 PAPER_TEMPLATE_COUNTS = {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.targets.library import all_target_names, target_hdl_source
+from repro.targets import all_target_names, target_hdl_source
 from repro.toolchain import PipelineConfig, RetargetCache, Session
 
 

@@ -61,7 +61,7 @@ from repro.diagnostics import (
     TargetError,
 )
 from repro.record.retarget import RetargetResult, retarget
-from repro.targets.library import all_target_names, get_target, target_hdl_source
+from repro.targets import all_target_names, get_target, target_hdl_source
 from repro.dspstone.kernels import all_kernel_names, get_kernel, kernel_program
 from repro.toolchain import (
     CompilationResult,

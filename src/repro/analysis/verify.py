@@ -38,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.reaching import possibly_uninitialized_uses
+from repro.codegen.compaction import _needs_labels
 from repro.diagnostics import Diagnostic, ReproError
 
 #: Reserved prefixes of optimizer-introduced temporaries (mirrors
@@ -767,7 +768,7 @@ def check_words(block_codes, words) -> List[Finding]:
             findings.extend(_check_one_word(index, word))
 
     labels = {word.label for word in words if word.label}
-    multi_block = len(block_codes) > 1
+    labelled = _needs_labels(block_codes)
 
     for block_code in block_codes:
         flat: List[Tuple[object, int]] = []
@@ -837,7 +838,7 @@ def check_words(block_codes, words) -> List[Finding]:
                 ] = word_index
             if instance.is_control():
                 barrier = word_index
-                if multi_block:
+                if labelled:
                     for target in instance.targets:
                         if target not in labels:
                             findings.append(
@@ -849,7 +850,7 @@ def check_words(block_codes, words) -> List[Finding]:
                                     block_code.name,
                                 )
                             )
-        if multi_block and block_code.name not in labels:
+        if labelled and block_code.name not in labels:
             findings.append(
                 Finding(
                     "words",

@@ -260,18 +260,13 @@ def _cmd_opt(args) -> int:
         stats.statements_before, stats.nodes_before))
     _print_program(program)
 
-    if not program.is_straight_line():
-        from repro.analysis import (
-            ControlFlowGraph,
-            loop_nesting_forest,
-            render_forest,
-        )
+    from repro.analysis import ControlFlowGraph, loop_nesting_forest, render_forest
 
-        forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
-        if forest.loops:
-            print("== loop nesting forest ==")
-            for line in render_forest(forest):
-                print("  %s" % line)
+    forest = loop_nesting_forest(ControlFlowGraph.from_program(program))
+    if forest.loops:
+        print("== loop nesting forest ==")
+        for line in render_forest(forest):
+            print("  %s" % line)
 
     def _signature(prog):
         return {

@@ -19,8 +19,8 @@ def _format_bits(assignment: Dict[str, bool]) -> str:
 def format_listing(words: List[InstructionWord], title: str = "") -> str:
     """A human-readable listing: one line per instruction word with the RTs
     executed in parallel and one concrete partial-instruction encoding.
-    Basic-block labels (branch targets of multi-block programs) appear on
-    their own line before the word they address."""
+    Basic-block labels (branch targets) appear on their own line before
+    the word they address."""
     lines: List[str] = []
     if title:
         lines.append("; %s" % title)

@@ -12,7 +12,7 @@ scheduling, spilling, compaction and simulation work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.diagnostics import ReproError, ResourceLimitError
 from repro.grammar.grammar import RuleKind, storage_of_nonterminal
@@ -133,22 +133,6 @@ class StatementCode:
         return any(instance.is_control() for instance in self.instances)
 
 
-def is_control_code(code: StatementCode) -> bool:
-    """True for the branch/jump pseudo-code pinned at a block end."""
-    return code.is_control()
-
-
-def is_multi_block(block_codes) -> bool:
-    """True when a block-code sequence describes a real CFG (anything but
-    the classic single block falling off the end).  The one place this
-    predicate lives: compaction (label or not) and result simulation
-    (CFG or straight-line path) must never disagree on it."""
-    block_codes = list(block_codes)
-    if not block_codes:
-        return False
-    return len(block_codes) > 1 or block_codes[0].terminator_code is not None
-
-
 @dataclass
 class BlockCode:
     """The code selected for one basic block: the statement codes in
@@ -164,6 +148,12 @@ class BlockCode:
         if self.terminator_code is not None:
             codes.append(self.terminator_code)
         return codes
+
+
+def flat_codes(block_codes: Iterable[BlockCode]) -> List[StatementCode]:
+    """Every block's statement codes, then its terminator pseudo-code, in
+    block order: the flat view the metric, spill and statement views read."""
+    return [code for block_code in block_codes for code in block_code.all_codes()]
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,6 @@ class SourceProgram:
     def assignments(self) -> List[Assignment]:
         return [s for s in self.statements if isinstance(s, Assignment)]
 
-    def is_straight_line(self) -> bool:
-        return all(isinstance(s, Assignment) for s in self.statements)
-
     def declared_names(self) -> Tuple[str, ...]:
         names = [decl.name for decl in self.scalars]
         names.extend(decl.name for decl in self.arrays)

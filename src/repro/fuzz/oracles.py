@@ -23,7 +23,7 @@ from repro.hdl.ast import ModuleKind
 from repro.ir.program import Program
 from repro.opt import OPT_TEMP_PREFIXES
 from repro.selector.burs import SelectionError
-from repro.sim.rtsim import RTSimulator
+from repro.sim.rtsim import simulate_block_codes
 from repro.toolchain import PipelineConfig, Session, Toolchain
 
 #: Step budget for both reference execution and RT simulation of one
@@ -83,17 +83,22 @@ class TargetHarness:
         session_noopt = session_opt.reconfigured(
             config.with_updates(use_optimizer=False)
         )
-        storages = frozenset(
-            module.name
-            for module in retarget_result.netlist.sequential_modules()
-            if module.kind == ModuleKind.MEMORY
-        )
         return cls(
             target=target,
             session_opt=session_opt,
             session_noopt=session_noopt,
-            memory_storages=storages,
+            memory_storages=memory_storages(retarget_result),
         )
+
+
+def memory_storages(retarget_result) -> frozenset:
+    """The target's memories; every other storage is a register the
+    storage-faithful simulator tracks."""
+    return frozenset(
+        module.name
+        for module in retarget_result.netlist.sequential_modules()
+        if module.kind == ModuleKind.MEMORY
+    )
 
 
 def seed_environment(program: Program) -> Dict[str, int]:
@@ -122,13 +127,13 @@ def observables(environment: Dict[str, int]) -> Dict[str, int]:
 
 def faithful_simulate(result, memory_storages, environment) -> Dict[str, int]:
     """Storage-faithful RT simulation of one compilation result."""
-    simulator = RTSimulator(dict(environment), memory_storages=set(memory_storages))
-    if result.is_multi_block:
-        entry = result.program.entry_block_name()
-        return simulator.run_cfg(
-            list(result.block_codes), entry=entry, max_steps=SIMULATION_STEP_LIMIT
-        )
-    return simulator.run_block_code(list(result.statement_codes))
+    return simulate_block_codes(
+        list(result.block_codes),
+        dict(environment),
+        entry=result.program.entry_block_name(),
+        max_steps=SIMULATION_STEP_LIMIT,
+        memory_storages=memory_storages,
+    )
 
 
 def _compile_leg(session: Session, program: Program, leg: str):

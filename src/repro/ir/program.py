@@ -5,8 +5,9 @@ Each block holds straight-line :class:`Statement` assignments and ends in
 an optional :class:`Terminator` -- ``None`` means the program halts after
 the block, :class:`Jump` transfers unconditionally, :class:`CBranch`
 branches on an IR condition expression.  Straight-line programs (the
-paper's unrolled DSPStone blocks) are the one-block, no-terminator special
-case, and every historical API on that shape keeps working unchanged.
+paper's unrolled DSPStone blocks) are the one-block CFG without a
+terminator; past the frontend they take the same code paths as any other
+program.
 """
 
 from __future__ import annotations

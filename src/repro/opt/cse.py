@@ -18,11 +18,11 @@ and ``min_ops`` operator nodes (materializing a lone load-sized node
 trades nothing), and must not read input ports (a port read is never
 duplicated or elided).
 
-Dead-temporary elimination is the matching cleanup: a backward liveness
-pass that removes assignments to compiler temporaries never read
-afterwards.  User-visible destinations (program variables, output ports)
-are always kept -- they are the observable surface the differential suite
-compares.
+Dead-temporary elimination is the matching cleanup: it removes
+assignments to compiler temporaries that nothing in the program reads,
+repeating until a chain of such temporaries is gone.  User-visible
+destinations (program variables, output ports) are always kept -- they
+are the observable surface the differential suite compares.
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ def eliminate_dead_temporaries(
     counters: Optional[Dict[str, int]] = None,
     temps: Optional[Set[str]] = None,
 ) -> int:
-    """Remove assignments to compiler temporaries that are never read
-    afterwards, in place; returns the number removed.
+    """Remove assignments to compiler temporaries that nothing reads, in
+    place; returns the number removed.
 
     ``temps`` names the temporaries eligible for removal.  The pipeline
     passes exactly the set its materializing stages introduced, so a
@@ -192,11 +192,9 @@ def eliminate_dead_temporaries(
     touched; when ``temps`` is ``None`` (standalone use) any
     ``temp_prefix``-named destination counts.
 
-    On straight-line programs this is the classic backward liveness
-    sweep.  On CFG programs it stays conservative across block
-    boundaries: a temporary read *anywhere* (any block's statements,
-    store indices or branch conditions) is kept everywhere, so only
-    temporaries that are never read at all are removed.
+    The rule is flow-insensitive: an assignment goes when no statement,
+    store index or branch condition in any block reads its temporary,
+    repeated until nothing more is removed.
     """
     stats = counters if counters is not None else {}
     stats.setdefault("dead_removed", 0)
@@ -215,53 +213,33 @@ def eliminate_dead_temporaries(
             reads.update(expr_variables(statement.destination_index))
         return reads
 
-    live_temps: Set[str] = set()
-    if program.is_straight_line():
-        block = program.blocks[0]
-        kept: List[Statement] = []
-        needed: Set[str] = set()
-        for statement in reversed(block.statements):
-            destination = statement.destination
-            if (
-                statement.destination_index is None
-                and removable(destination)
-                and destination not in needed
-            ):
-                removed += 1
-                continue
-            kept.append(statement)
-            if statement.destination_index is None:
-                needed.discard(destination)
-            needed.update(statement_reads(statement))
-        kept.reverse()
-        for statement in kept:
-            if removable(statement.destination):
-                live_temps.add(statement.destination)
-        block.statements = kept
-    else:
-        # CFG-conservative: collect every name read anywhere, then drop
-        # only removable destinations that are never read at all.
+    while True:
         read_anywhere: Set[str] = set()
         for block in program.blocks:
             for statement in block.statements:
                 read_anywhere.update(statement_reads(statement))
             if block.terminator is not None:
                 read_anywhere.update(block.terminator.variables())
+        removed_now = 0
         for block in program.blocks:
-            kept = []
-            for statement in block.statements:
-                destination = statement.destination
-                if (
-                    statement.destination_index is None
-                    and removable(destination)
-                    and destination not in read_anywhere
-                ):
-                    removed += 1
-                    continue
-                kept.append(statement)
-                if removable(destination):
-                    live_temps.add(destination)
+            kept = [
+                statement
+                for statement in block.statements
+                if statement.destination_index is not None
+                or not removable(statement.destination)
+                or statement.destination in read_anywhere
+            ]
+            removed_now += len(block.statements) - len(kept)
             block.statements = kept
+        if not removed_now:
+            break
+        removed += removed_now
+    live_temps = {
+        statement.destination
+        for block in program.blocks
+        for statement in block.statements
+        if removable(statement.destination)
+    }
     program.scalars = [
         name
         for name in program.scalars

@@ -3,7 +3,7 @@
 The simulator executes the RT instances produced by code selection over a
 variable environment and is used by the test suite to check that generated
 code computes exactly the same values as the reference execution of the IR
-basic block -- the key end-to-end correctness invariant of the compiler.
+program -- the key end-to-end correctness invariant of the compiler.
 """
 
 from repro.sim.rtsim import (
@@ -12,9 +12,7 @@ from repro.sim.rtsim import (
     SimulationTrace,
     TraceStep,
     simulate_block_codes,
-    simulate_statement_code,
     trace_cfg_execution,
-    trace_execution,
 )
 
 __all__ = [
@@ -23,7 +21,5 @@ __all__ = [
     "SimulationTrace",
     "TraceStep",
     "simulate_block_codes",
-    "simulate_statement_code",
     "trace_cfg_execution",
-    "trace_execution",
 ]

@@ -16,13 +16,13 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.codegen.compaction import InstructionWord, compact, compact_blocks
+from repro.codegen.compaction import InstructionWord, compact_blocks
 from repro.codegen.schedule import schedule_instances
 from repro.codegen.selection import (
     BlockCode,
     RTInstance,
     StatementCode,
-    is_multi_block,
+    flat_codes,
     select_statement,
     select_terminator,
 )
@@ -175,10 +175,9 @@ class CompilationState:
     """
 
     program: Program
-    statement_codes: List[StatementCode] = field(default_factory=list)
-    # Per-block view of the same StatementCode objects (plus the branch
-    # pseudo-code at every block end); the CFG structure the simulator
-    # and the compactor work from.
+    # The selected code, block by block (statement codes plus the branch
+    # pseudo-code at every block end); a straight-line program is one
+    # block without a terminator.
     block_codes: List[BlockCode] = field(default_factory=list)
     words: List[InstructionWord] = field(default_factory=list)
     encoding: Optional[str] = None
@@ -203,11 +202,15 @@ class CompilationState:
             Diagnostic(severity=severity, message=message, phase=phase)
         )
 
+    @property
+    def statement_codes(self) -> List[StatementCode]:
+        """Read-only flat view of :attr:`block_codes` (same objects)."""
+        return flat_codes(self.block_codes)
+
     def all_instances(self) -> List[RTInstance]:
-        instances: List[RTInstance] = []
-        for code in self.statement_codes:
-            instances.extend(code.instances)
-        return instances
+        return [
+            instance for code in self.statement_codes for instance in code.instances
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +324,6 @@ class SelectionPass(Pass):
                     terminator_code=terminator_code,
                 )
                 state.block_codes.append(block_code)
-                # Flat view (same StatementCode objects): what the schedule,
-                # spill and metric layers iterate.
-                state.statement_codes.extend(block_code.all_codes())
         # Per-run deltas of the (possibly shared) selector's counters;
         # approximate under concurrent compiles against one pooled session,
         # exact otherwise.
@@ -344,9 +344,8 @@ class SchedulingPass(Pass):
     name = "schedule"
 
     def run(self, state: CompilationState, context: PassContext) -> None:
-        # Per-block walk over the same StatementCode objects the flat
-        # list aliases (all_codes() includes the terminator pseudo-code),
-        # so each block is attributable in a trace.
+        # Per-block walk (all_codes() includes the terminator
+        # pseudo-code), so each block is attributable in a trace.
         tracer = current_tracer()
         for block_code in state.block_codes:
             with tracer.span("schedule:block", block=block_code.name):
@@ -386,22 +385,7 @@ class CompactionPass(Pass):
         self.enabled = enabled
 
     def run(self, state: CompilationState, context: PassContext) -> None:
-        if is_multi_block(state.block_codes):
-            # Multi-block program: per-block packing, labelled words.
-            # compact_blocks never packs across a block boundary, so
-            # feeding it one block at a time is result-identical and
-            # gives each block its own trace span.
-            tracer = current_tracer()
-            words: List[InstructionWord] = []
-            for block_code in state.block_codes:
-                with tracer.span("compact:block", block=block_code.name) as span:
-                    block_words = compact_blocks([block_code], enabled=self.enabled)
-                    if tracer.enabled:
-                        span.set(words=len(block_words))
-                words.extend(block_words)
-            state.words = words
-        else:
-            state.words = compact(state.all_instances(), enabled=self.enabled)
+        state.words = compact_blocks(state.block_codes, enabled=self.enabled)
 
 
 class EncodingPass(Pass):

@@ -1,10 +1,9 @@
 """The target registry: one uniform namespace for processor models.
 
-Historically the built-in targets lived in a hard-coded dict in
-``repro.targets.library`` and the CLI string-dispatched between built-in
-names and HDL file paths.  The registry replaces both: built-in models,
-user HDL files and programmatically constructed models all register the
-same way and are looked up by name through one interface.
+Built-in models, user HDL files and programmatically constructed models
+all register the same way and are looked up by name through one
+interface; the CLI resolves target names and HDL file paths through it,
+and :mod:`repro.targets` offers function-style lookups over it.
 
 Registration styles::
 

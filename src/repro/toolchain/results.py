@@ -14,7 +14,7 @@ It carries three layers of information:
   ``listing``, the binary ``encoding`` (when the encode pass ran) and an
   RT-level ``simulation_trace`` computed through
   :class:`~repro.sim.rtsim.RTSimulator`;
-* **artifacts** -- the live IR/backend objects (program, statement codes,
+* **artifacts** -- the live IR/backend objects (program, block codes,
   instruction words, resource binding) for callers that keep processing.
 
 Results serialize losslessly to plain dicts/JSON (:meth:`to_dict` /
@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.compaction import InstructionWord, code_size
 from repro.codegen.emitter import format_listing
-from repro.codegen.selection import BlockCode, RTInstance, StatementCode, is_control_code
+from repro.codegen.selection import BlockCode, RTInstance, StatementCode, flat_codes
 from repro.codegen.spill import count_spills
 from repro.diagnostics import Diagnostic, ResultError
 from repro.ir.binding import ResourceBinding
@@ -165,11 +165,8 @@ class CompilationResult:
     encoding: Optional[str] = None
     # Live artifacts -- absent on detached (deserialized) results.
     program: Optional[Program] = field(default=None, repr=False, compare=False)
-    statement_codes: Tuple[StatementCode, ...] = field(
-        default=(), repr=False, compare=False
-    )
-    # Per-block view (same StatementCode objects plus branch pseudo-code);
-    # empty on straight-line construction paths.
+    # The selected code, block by block (statement codes plus the branch
+    # pseudo-code at every block end).
     block_codes: Tuple[BlockCode, ...] = field(default=(), repr=False, compare=False)
     words: Tuple[InstructionWord, ...] = field(default=(), repr=False, compare=False)
     binding: Optional[ResourceBinding] = field(default=None, repr=False, compare=False)
@@ -204,7 +201,7 @@ class CompilationResult:
             spill_count=count_spills(instances),
             selection_cost=sum(code.cost for code in state.statement_codes),
             statement_count=sum(
-                1 for code in state.statement_codes if not is_control_code(code)
+                len(block_code.codes) for block_code in state.block_codes
             ),
             compile_time_s=sum(state.pass_timings.values()),
             nodes_labelled=int(state.selection_stats.get("nodes_labelled", 0)),
@@ -229,7 +226,6 @@ class CompilationResult:
             diagnostics=tuple(state.diagnostics),
             encoding=state.encoding,
             program=program,
-            statement_codes=tuple(state.statement_codes),
             block_codes=tuple(state.block_codes),
             words=tuple(state.words),
             binding=binding,
@@ -263,13 +259,17 @@ class CompilationResult:
         return self.program is None and self.stored_statements is not None
 
     @property
+    def statement_codes(self) -> Tuple[StatementCode, ...]:
+        """Read-only flat view of :attr:`block_codes` (same objects)."""
+        return tuple(flat_codes(self.block_codes))
+
+    @property
     def instances(self) -> List[RTInstance]:
         """All RT instances in statement order (live results only)."""
         self._require_artifacts("instances")
-        instances: List[RTInstance] = []
-        for code in self.statement_codes:
-            instances.extend(code.instances)
-        return instances
+        return [
+            instance for code in self.statement_codes for instance in code.instances
+        ]
 
     def _require_artifacts(self, what: str) -> None:
         if self.is_detached:
@@ -314,13 +314,6 @@ class CompilationResult:
             % (name, ", ".join(self.VIEWS))
         )
 
-    @property
-    def is_multi_block(self) -> bool:
-        """True when the compiled program is a CFG (loops/branches)."""
-        from repro.codegen.selection import is_multi_block
-
-        return is_multi_block(self.block_codes)
-
     def simulation_trace(
         self,
         environment: Optional[Dict[str, int]] = None,
@@ -329,21 +322,18 @@ class CompilationResult:
         """Execute the generated code through the RT-level simulator and
         return the :class:`~repro.sim.rtsim.SimulationTrace` (per executed
         statement: operations + environment snapshot; loop bodies appear
-        once per iteration).  Live results only.  ``max_steps`` bounds CFG
-        execution (default: the IR step limit)."""
+        once per iteration).  Live results only.  Execution starts at the
+        entry block; ``max_steps`` bounds it (default: the IR step limit)."""
         self._require_artifacts("statement codes (needed for simulation)")
         from repro.ir.program import DEFAULT_STEP_LIMIT
-        from repro.sim.rtsim import trace_cfg_execution, trace_execution
+        from repro.sim.rtsim import trace_cfg_execution
 
-        if self.is_multi_block:
-            entry = self.program.entry_block_name() if self.program else None
-            return trace_cfg_execution(
-                list(self.block_codes),
-                environment or {},
-                entry=entry,
-                max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
-            )
-        return trace_execution(list(self.statement_codes), environment or {})
+        return trace_cfg_execution(
+            list(self.block_codes),
+            environment or {},
+            entry=self.program.entry_block_name() if self.program else None,
+            max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
+        )
 
     def simulate(
         self,

@@ -15,7 +15,7 @@ os.environ.setdefault("REPRO_VERIFY", "1")
 import pytest
 
 from repro.record.retarget import retarget
-from repro.targets.library import all_target_names, target_hdl_source
+from repro.targets import all_target_names, target_hdl_source
 from repro.toolchain import Session
 
 

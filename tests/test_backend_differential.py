@@ -13,52 +13,17 @@ over by the simulator's value table.
 import pytest
 
 from repro.dspstone import all_kernel_names, get_kernel, kernel_program, loop_kernel_names
-from repro.hdl.ast import ModuleKind
-from repro.opt import OPT_TEMP_PREFIXES
+from repro.fuzz.oracles import (
+    faithful_simulate,
+    memory_storages,
+    observables,
+    seed_environment,
+)
 from repro.toolchain import PipelineConfig, Session
 
 #: Targets whose grammars cover the DSPStone kernels (the other built-ins
 #: cannot compile any DSPStone kernel: no multiplier / no usable ALU path).
 DSP_TARGETS = ("demo", "ref", "tms320c25")
-
-
-def _memory_storages(retarget_result):
-    return {
-        module.name
-        for module in retarget_result.netlist.sequential_modules()
-        if module.kind == ModuleKind.MEMORY
-    }
-
-
-def _seed_environment(program):
-    environment = {}
-    for name, size in sorted(program.arrays.items()):
-        for index in range(size):
-            environment["%s[%d]" % (name, index)] = (index * 31 + len(name) * 7) % 95 + 1
-    for position, scalar in enumerate(sorted(program.scalars)):
-        environment[scalar] = (position * 13 + 5) % 50
-    return environment
-
-
-def _observables(environment):
-    return {
-        key: value
-        for key, value in environment.items()
-        if not key.startswith(OPT_TEMP_PREFIXES)
-    }
-
-
-def _faithful_simulate(result, retarget_result, environment):
-    """Simulate a compilation result in storage-faithful mode."""
-    from repro.sim.rtsim import RTSimulator
-
-    simulator = RTSimulator(
-        dict(environment), memory_storages=_memory_storages(retarget_result)
-    )
-    if result.is_multi_block:
-        entry = result.program.entry_block_name()
-        return simulator.run_cfg(list(result.block_codes), entry=entry)
-    return simulator.run_block_code(list(result.statement_codes))
 
 
 @pytest.fixture(scope="module", params=DSP_TARGETS)
@@ -74,13 +39,13 @@ ALL_KERNELS = all_kernel_names() + loop_kernel_names()
 def test_backend_output_matches_reference(target_session, kernel_name):
     target, retarget_result, session = target_session
     program = kernel_program(kernel_name)
-    environment = _seed_environment(program)
+    environment = seed_environment(program)
     compiled = session.compile_program(program)
-    simulated = _faithful_simulate(compiled, retarget_result, environment)
+    simulated = faithful_simulate(compiled, memory_storages(retarget_result), environment)
     reference = program.execute(dict(environment))
     mismatches = {
         key: (simulated.get(key, 0), value)
-        for key, value in _observables(reference).items()
+        for key, value in observables(reference).items()
         if simulated.get(key, 0) != value
     }
     assert not mismatches, (target, kernel_name, mismatches)
@@ -95,12 +60,13 @@ def test_loop_kernel_equals_unrolled_counterpart(target_session, kernel_name):
     assert kernel.unrolled, kernel_name
     loop_program = kernel_program(kernel_name)
     unrolled_program = kernel_program(kernel.unrolled)
-    environment = _seed_environment(loop_program)
-    loop_out = _faithful_simulate(
-        session.compile_program(loop_program), retarget_result, environment
+    environment = seed_environment(loop_program)
+    storages = memory_storages(retarget_result)
+    loop_out = faithful_simulate(
+        session.compile_program(loop_program), storages, environment
     )
-    unrolled_out = _faithful_simulate(
-        session.compile_program(unrolled_program), retarget_result, environment
+    unrolled_out = faithful_simulate(
+        session.compile_program(unrolled_program), storages, environment
     )
     shared = set(unrolled_program.all_variables()) & set(loop_out)
     mismatches = {
@@ -119,9 +85,9 @@ def test_backend_ablations_stay_correct_on_loops(retarget_results, preset):
     retarget_result = retarget_results["tms320c25"]
     session = Session(retarget_result, config=PipelineConfig.preset(preset))
     program = kernel_program("dot_product_loop")
-    environment = _seed_environment(program)
+    environment = seed_environment(program)
     compiled = session.compile_program(program)
-    simulated = _faithful_simulate(compiled, retarget_result, environment)
+    simulated = faithful_simulate(compiled, memory_storages(retarget_result), environment)
     reference = program.execute(dict(environment))
-    for key, value in _observables(reference).items():
+    for key, value in observables(reference).items():
         assert simulated.get(key, 0) == value, (preset, key)

@@ -64,7 +64,7 @@ class TestParsing:
     def test_assignments_property_keeps_straight_line_view(self):
         program = parse_source("int a, b; a = b + 1; b = a;")
         assert len(program.assignments) == 2
-        assert program.is_straight_line()
+        assert program.assignments == program.statements
 
     def test_unterminated_block_rejected(self):
         from repro.frontend import SourceSyntaxError
@@ -203,6 +203,34 @@ class TestOptimizerOnCFG:
         assert eliminate_dead_temporaries(program) == 1
         assert program.blocks[0].statements == []
 
+    def test_dce_removes_temp_chain_split_across_blocks(self):
+        from repro.ir.program import BasicBlock, Jump, Program, Statement
+        from repro.opt.cse import eliminate_dead_temporaries
+
+        # __cse0 is read only by __cse1, which nothing reads: both go.
+        program = Program(
+            name="x",
+            blocks=[
+                BasicBlock(
+                    name="entry",
+                    statements=[Statement("__cse0", Op("add", [VarRef("a"), VarRef("b")]))],
+                    terminator=Jump("next"),
+                ),
+                BasicBlock(
+                    name="next",
+                    statements=[
+                        Statement("__cse1", Op("mul", [VarRef("__cse0"), VarRef("a")])),
+                        Statement("y", VarRef("a")),
+                    ],
+                ),
+            ],
+            scalars=["a", "b", "y", "__cse0", "__cse1"],
+        )
+        assert eliminate_dead_temporaries(program) == 2
+        assert program.blocks[0].statements == []
+        assert [str(s) for s in program.blocks[1].statements] == ["y = a"]
+        assert program.scalars == ["a", "b", "y"]
+
     def test_branch_condition_counts_as_use(self):
         from repro.ir.program import BasicBlock, CBranch, Program, Statement
         from repro.opt.cse import eliminate_dead_temporaries
@@ -227,6 +255,46 @@ class TestOptimizerOnCFG:
         assert len(program.blocks[0].statements) == 1
 
 
+class TestStraightLineIsOneBlockCFG:
+    """A straight-line program compiles, compacts and simulates as the
+    one-block CFG it is."""
+
+    SOURCE = "int a, b, c, y; y = a * b + c; c = y - a;"
+
+    @pytest.fixture(scope="class")
+    def result(self, tms_result):
+        return Session(tms_result).compile(self.SOURCE, name="line")
+
+    def test_one_block_without_terminator(self, result):
+        (block_code,) = result.block_codes
+        assert block_code.name == "entry"
+        assert block_code.terminator_code is None
+        assert result.statement_codes == tuple(block_code.codes)
+
+    def test_listing_has_no_label_line(self, result):
+        assert all(word.label is None for word in result.words)
+        assert not any(
+            line.rstrip().endswith(":") for line in result.listing().splitlines()[1:]
+        )
+
+    def test_trace_steps_name_the_entry_block(self, result):
+        trace = result.simulation_trace({"a": 3, "b": 4, "c": 5})
+        assert len(trace) == 2
+        assert [step.block for step in trace.steps] == ["entry", "entry"]
+        assert all(step.to_dict()["block"] == "entry" for step in trace.steps)
+
+    def test_simulate_equals_program_execute(self, result):
+        env = {"a": 3, "b": 4, "c": 5, "y": 0}
+        expected = lower_to_program(self.SOURCE).execute(dict(env))
+        simulated = result.simulate(dict(env))
+        assert {k: simulated.get(k, 0) for k in expected} == expected
+
+    def test_empty_program_has_no_words(self, tms_result):
+        result = Session(tms_result).compile("int a;", name="empty")
+        assert result.code_size == 0
+        assert result.simulate({"a": 7}) == {"a": 7}
+
+
 class TestBackendCFG:
     @pytest.fixture(scope="class")
     def session(self, tms_result):
@@ -234,7 +302,7 @@ class TestBackendCFG:
 
     def test_compiles_and_simulates_loop(self, session):
         result = session.compile(DOT_LOOP, name="dot")
-        assert result.is_multi_block
+        assert len(result.block_codes) > 1
         out = result.simulate(_dot_env())
         assert out["z"] == 30 and out["i"] == 4
 
@@ -324,27 +392,6 @@ class TestBackendCFG:
         result = session.compile(DOT_LOOP, name="dot")
         out = result.simulate(_dot_env())
         assert out["z"] == 30
-
-    def test_straight_line_simulation_rejects_cfg_code(self, session):
-        """The straight-line paths must fail loudly on a CFG's flat code
-        (a result built without block_codes), never silently execute
-        each block once in layout order."""
-        from repro.sim.rtsim import SimulationError
-        from repro.toolchain.results import CompilationResult
-
-        result = session.compile(DOT_LOOP, name="dot")
-        flat = CompilationResult(
-            name=result.name,
-            processor=result.processor,
-            metrics=result.metrics,
-            program=result.program,
-            statement_codes=result.statement_codes,
-            words=result.words,
-            binding=result.binding,
-        )
-        assert not flat.is_multi_block
-        with pytest.raises(SimulationError):
-            flat.simulate(_dot_env())
 
     def test_json_roundtrip_of_cfg_result(self, session):
         from repro.toolchain.results import CompilationResult

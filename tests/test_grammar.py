@@ -23,7 +23,7 @@ from repro.grammar.grammar import (
 from repro.hdl import parse_processor
 from repro.ise import ConstLeaf, ImmLeaf, OpNode, PortLeaf, RTTemplate, RTTemplateBase, RegLeaf
 from repro.netlist import build_netlist
-from repro.targets.library import target_hdl_source
+from repro.targets import target_hdl_source
 
 
 @pytest.fixture(scope="module")

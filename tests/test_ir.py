@@ -18,7 +18,7 @@ from repro.ir import (
 from repro.ir.binding import BindingError, default_data_memory
 from repro.ir.expr import apply_operator, expr_size, wrap_word
 from repro.netlist import build_netlist
-from repro.targets.library import target_hdl_source
+from repro.targets import target_hdl_source
 
 
 class TestExpressions:

@@ -3,7 +3,7 @@
 from repro.hdl import parse_processor
 from repro.ise import InstructionSetExtractor, extract_instruction_set
 from repro.netlist import build_netlist
-from repro.targets.library import target_hdl_source
+from repro.targets import target_hdl_source
 
 
 def _netlist(name):

@@ -22,7 +22,7 @@ from repro.dspstone import all_kernel_names, kernel_program, loop_kernel_names
 from repro.frontend.lowering import lower_to_program
 from repro.ir.binding import BindingError
 from repro.opt import OPT_TEMP_PREFIXES
-from repro.targets.library import all_target_names
+from repro.targets import all_target_names
 from repro.toolchain import PipelineConfig, Session
 
 #: Deterministic simulation environments (several, so a value-dependent

@@ -9,7 +9,7 @@ from repro.record import (
     retargeting_report,
 )
 from repro.record.report import format_processor_class_report
-from repro.targets.library import target_hdl_source
+from repro.targets import target_hdl_source
 from repro.toolchain import PipelineConfig, Session
 
 

@@ -25,7 +25,7 @@ from repro.ir.expr import Const, Op, VarRef
 from repro.ir.program import BasicBlock, Program, Statement
 from repro.selector import CodeSelector, SubjectNode
 from repro.selector.burs import SelectionError
-from repro.targets.library import all_target_names
+from repro.targets import all_target_names
 from repro.toolchain import PipelineConfig, Session
 
 

@@ -16,7 +16,7 @@ from repro.grammar.grammar import (
     RuleKind,
     TreeGrammar,
 )
-from repro.targets.library import all_target_names
+from repro.targets import all_target_names
 
 
 def _toy_grammar():
