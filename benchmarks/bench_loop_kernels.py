@@ -93,7 +93,7 @@ def measure_code_sizes(session: Session) -> Dict[str, Dict[str, int]]:
 
 def measure_compile_time(session: Session, names) -> float:
     programs = [kernel_program(name) for name in names]
-    for program in programs:  # warm caches / labelling memo
+    for program in programs:  # warm caches / the transition cache
         session.compile_program(program)
     started = time.perf_counter()
     for _ in range(TIMING_PASSES):

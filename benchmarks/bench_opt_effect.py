@@ -6,15 +6,15 @@ optimizer attacks the *other* factor and simply hands the selector fewer
 nodes.  This benchmark measures that on the TMS320C25:
 
 * **labelled nodes** -- per-compile ``metrics.nodes_labelled`` summed
-  over a suite, measured through a *memo-disabled* selector
-  (``memo_size=0``) so every subject node the matcher visits is counted
-  exactly once: the number is the true subject-tree workload, not an
-  artifact of a warm structural memo.  The CSE-heavy synthetic suite
-  must shrink by at least ``NODES_REDUCTION_FLOOR`` (20%); the DSPStone
-  kernels (no repeated subexpressions, no literal arithmetic) are
-  reported unasserted as the no-opportunity baseline.
+  over a suite.  The labeller counts every subject node it labels
+  (a transition-cache hit included), so the number is the true
+  subject-tree workload, independent of what the cache holds.  The
+  CSE-heavy synthetic suite must shrink by at least
+  ``NODES_REDUCTION_FLOOR`` (20%); the DSPStone kernels (no repeated
+  subexpressions, no literal arithmetic) are reported unasserted as the
+  no-opportunity baseline.
 * **end-to-end compile time** -- ``Session.compile`` wall clock with the
-  normal (memoized) pipeline, optimizer on vs. off, reported unasserted
+  normal pipeline, optimizer on vs. off, reported unasserted
   (the optimizer pays for itself on CSE-heavy input and costs a small
   constant otherwise).
 
@@ -39,7 +39,6 @@ from typing import Dict, List, Tuple
 from repro.dspstone import all_kernel_names, kernel_program
 from repro.frontend.lowering import lower_to_program
 from repro.opt import TEMP_PREFIX
-from repro.selector.burs import CodeSelector
 from repro.toolchain import PipelineConfig, Session
 
 #: Asserted floor on the labelled-node reduction of the synthetic suite.
@@ -88,18 +87,6 @@ def build_kernel_suite() -> List[Tuple[str, object]]:
     return [(name, kernel_program(name)) for name in all_kernel_names()]
 
 
-def _memoless_session(tms_result, use_optimizer: bool) -> Session:
-    """A session whose selector labels every node (no structural memo),
-    so ``metrics.nodes_labelled`` counts the full subject-tree workload."""
-    session = Session(
-        tms_result, config=PipelineConfig(use_optimizer=use_optimizer)
-    )
-    session.selector = CodeSelector(
-        tms_result.grammar, tables=tms_result.selector.tables, memo_size=0
-    )
-    return session
-
-
 def assert_equivalent_and_never_worse(tms_result, suite) -> None:
     """The differential harness: optimized vs. unoptimized pipeline on
     every suite program -- identical observable simulation, never more
@@ -128,7 +115,7 @@ def assert_equivalent_and_never_worse(tms_result, suite) -> None:
 
 
 def measure_labelled_nodes(tms_result, suite, use_optimizer: bool) -> int:
-    session = _memoless_session(tms_result, use_optimizer)
+    session = Session(tms_result, config=PipelineConfig(use_optimizer=use_optimizer))
     return sum(
         session.compile_program(program).metrics.nodes_labelled
         for _name, program in suite
@@ -137,11 +124,11 @@ def measure_labelled_nodes(tms_result, suite, use_optimizer: bool) -> int:
 
 def measure_compile_time(tms_result, suite, use_optimizer: bool) -> float:
     """Wall-clock seconds for TIMING_PASSES full-suite compile passes on
-    a normal (memoized) session."""
+    a normal session."""
     session = Session(
         tms_result, config=PipelineConfig(use_optimizer=use_optimizer)
     )
-    for _name, program in suite:  # warm the labelling memo / caches
+    for _name, program in suite:  # warm the transition cache
         session.compile_program(program)
     started = time.perf_counter()
     for _ in range(TIMING_PASSES):

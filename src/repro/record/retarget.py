@@ -32,7 +32,7 @@ class PhaseTimings:
     """Wall-clock seconds spent in each retargeting phase.
 
     ``tables`` is the offline matcher-table generation (dense interning,
-    linearized match programs, precomputed chain closure -- see
+    the grammar's one-level normal form, precomputed chain closure -- see
     :class:`repro.selector.tables.GrammarTables`); ``parser_generation``
     covers selector construction plus emitting/compiling the stand-alone
     matcher module.

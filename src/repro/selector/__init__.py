@@ -5,16 +5,19 @@ of the tree in the processor's tree grammar.  The paper generates a tree
 parser with iburg; this package provides the equivalent machinery in
 Python:
 
-* :mod:`repro.selector.burs` -- a BURS-style dynamic-programming labeller
-  and reducer working directly on a tree grammar (label pass computes, for
-  every node and non-terminal, the cheapest rule with chain-rule closure;
-  the reduce pass walks the optimal derivation top-down);
+* :mod:`repro.selector.burs` -- the library labeller and reducer: an
+  on-demand BURS automaton whose cost-normalized states are interned and
+  whose transitions are cached on (label, hardwired constant, child
+  states), computed on a miss from the grammar's one-level normal form
+  and chain closure; the reduce pass walks the optimal derivation
+  top-down;
 * :mod:`repro.selector.emit` -- generation of a stand-alone, grammar-specific
-  matcher module, mirroring iburg's generated C parser;
-* :mod:`repro.selector.tables` -- the precomputed rule tables shared by both.
+  matcher module running the plain dynamic program, mirroring iburg's
+  generated C parser (and serving as the library selector's oracle);
+* :mod:`repro.selector.tables` -- the precomputed rule tables both read.
 """
 
-from repro.selector.subject import StructurePool, SubjectNode, default_structure_pool
+from repro.selector.subject import SubjectNode
 from repro.selector.burs import (
     CodeSelector,
     Match,
@@ -22,21 +25,18 @@ from repro.selector.burs import (
     SelectionError,
     SelectionResult,
 )
-from repro.selector.tables import GrammarTables, MatchProgram, chain_closure_from
+from repro.selector.tables import GrammarTables, chain_closure_from
 from repro.selector.emit import compile_matcher_module, emit_matcher_source
 
 __all__ = [
     "CodeSelector",
     "GrammarTables",
     "Match",
-    "MatchProgram",
     "Reduction",
     "SelectionError",
     "SelectionResult",
-    "StructurePool",
     "SubjectNode",
     "chain_closure_from",
     "compile_matcher_module",
-    "default_structure_pool",
     "emit_matcher_source",
 ]

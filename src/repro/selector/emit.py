@@ -3,9 +3,8 @@
 The paper obtains its code selector from iburg, which reads the BNF tree
 grammar and *emits C code* that is then compiled.  We mirror that step:
 :func:`emit_matcher_source` renders a self-contained Python module embedding
-the offline-compiled tables of one grammar -- linearized match programs and
-the precomputed chain-rule closure, exactly the tables the library's
-table-driven :class:`~repro.selector.burs.CodeSelector` consults -- and
+the grammar's rules, their linearized match programs and the precomputed
+chain-rule closure of its offline-compiled tables -- and
 :func:`compile_matcher_module` compiles and executes it, returning the
 module namespace.  The retargeting benchmark times both steps, which
 corresponds to the "parser generation + parser compilation" share of
@@ -157,20 +156,35 @@ def _encode_pattern(pattern: PatternNode):
     raise TypeError("unexpected pattern node %r" % pattern)
 
 
+def linearize_pattern(pattern: PatternNode) -> Tuple[tuple, ...]:
+    """Flatten one non-chain rule pattern into its match program: pre-order
+    ``(True, label, value, arity)`` terminal checks and ``(0, nonterminal)``
+    leaf probes, which the emitted ``_run`` executes against an explicit
+    node stack, so pattern matching never recurses."""
+    code: List[tuple] = []
+    stack: List[PatternNode] = [pattern]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, PatNonterm):
+            code.append((0, node.name))
+            continue
+        if not isinstance(node, PatTerm):
+            raise TypeError("unexpected pattern node %r" % (node,))
+        code.append((True, node.name, node.value, len(node.operands)))
+        stack.extend(reversed(node.operands))
+    return tuple(code)
+
+
 def _encode_programs(tables: GrammarTables) -> Dict[str, Tuple[tuple, ...]]:
-    programs: Dict[str, Tuple[tuple, ...]] = {}
-    for label_name, op_id in tables.op_ids.items():
-        encoded: List[tuple] = []
-        for program in tables.programs_by_op[op_id]:
-            code = tuple(
-                instruction
-                if instruction[0]
-                else (0, instruction[1])  # drop the leaf path: memo-only info
-                for instruction in program.code
-            )
-            encoded.append((program.rule.index, code))
-        programs[label_name] = tuple(encoded)
-    return programs
+    # Operators in rule order, each one's rules in rule-index order (which
+    # fixes the tie-break: the first matching rule of equal cost wins).
+    return {
+        label_name: tuple(
+            (rule.index, linearize_pattern(rule.pattern))
+            for rule in tables.rules_by_root[label_name]
+        )
+        for label_name in tables.op_names
+    }
 
 
 def _encode_closure(tables: GrammarTables) -> Dict[str, Tuple[tuple, ...]]:

@@ -1,30 +1,30 @@
 """Offline-compiled matcher tables for the tree parser.
 
 iburg compiles a grammar into static tables consulted by the generated
-parser; :meth:`GrammarTables.build` plays the same role for our Python
-matcher.  Both the library :class:`~repro.selector.burs.CodeSelector`
-and the emitted selector module (:mod:`repro.selector.emit`) run on
-these tables:
+parser; :meth:`GrammarTables.build` plays the same role for the library
+:class:`~repro.selector.burs.CodeSelector`.  The emitted selector module
+(:mod:`repro.selector.emit`) reads the rule indexes and the chain
+closure and linearizes the patterns itself when it renders the module:
 
 * **dense interning** -- every terminal label that roots a rule pattern
-  is assigned a dense integer id (``op_ids``): the match-program table is
-  a list indexed by operator id, not a string-keyed dict.  Non-terminals
-  get ids too (``nt_ids``), as table metadata for tooling and stats --
-  node states themselves remain keyed by non-terminal name, which is the
-  selector's public vocabulary;
-* **linearized match programs** -- each non-chain rule pattern is
-  flattened into a :class:`MatchProgram`: a pre-order tuple of constant
-  instructions (terminal checks with arity/value, non-terminal leaf
-  probes with their subtree path), so matching a pattern is a single
-  non-recursive loop over tuples instead of a recursive descent over
-  pattern objects;
+  is assigned a dense integer id (``op_ids``, in rule order) and every
+  non-terminal one too (``nt_ids``), as table metadata for tooling and
+  stats;
+* **one-level normal form** (the library selector) -- every non-chain
+  rule becomes one row ``(lhs, cost, hardwired value, child
+  non-terminals, rule)`` of its root operator, as burg normalizes a
+  grammar: each distinct interior sub-pattern becomes one fresh, interned
+  non-terminal with a single zero-cost row.  A row repeating the lhs and
+  pattern of an earlier row at no lower cost is dropped (the
+  strict-improvement tie-break never picks it); rule indices do not
+  change.  Each operator also gets the set of constant values its
+  patterns hardwire;
 * **precomputed chain closure** -- the full transitive closure of the
   chain-rule graph, per source non-terminal: for every reachable target
-  the minimal extra cost and the exact rule path realizing it.  The
-  labeller applies this matrix directly, eliminating the per-node
-  fixpoint iteration entirely.  Ties are broken deterministically by the
-  lexicographically smallest rule-index path, so covers are
-  deterministic.
+  the minimal extra cost and the exact rule path realizing it.  Both
+  selectors apply this matrix directly instead of a per-node fixpoint.
+  Ties are broken deterministically by the lexicographically smallest
+  rule-index path, so covers are deterministic.
 
 Tables depend only on the grammar, are built once per retarget (the
 ``tables`` phase of :func:`repro.record.retarget.retarget`), pickle with
@@ -39,18 +39,18 @@ import heapq
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.grammar.grammar import PatNonterm, PatTerm, Rule, TreeGrammar
+from repro.grammar.grammar import PatNonterm, PatTerm, PatternNode, Rule, TreeGrammar
 
-#: One linear match instruction.  Two shapes:
-#:   ``(True, label, value, arity)``  -- terminal check: the current subject
-#:       node must carry ``label``, the hardwired ``value`` (when not None)
-#:       and exactly ``arity`` children (which are then scheduled);
-#:   ``(False, nonterminal, path)``   -- non-terminal leaf probe: the current
-#:       subject node must derive ``nonterminal``; ``path`` is the child-index
-#:       path of this leaf inside the pattern (used by the labelling memo).
-MatchInstruction = tuple
+#: One normal-form row: ``(lhs, cost, hardwired value or None, child
+#: non-terminals, rule)``.  ``rule`` is the original grammar rule, or
+#: ``None`` on the zero-cost row of a fresh interior non-terminal.
+NormalRow = Tuple[str, int, Optional[int], Tuple[str, ...], Optional[Rule]]
+
+#: The leaves of one rule pattern: ``(child-index path, non-terminal)`` in
+#: left-to-right order.
+LeafPaths = Tuple[Tuple[Tuple[int, ...], str], ...]
 
 #: One chain-closure entry: ``(target, delta_cost, rule_path)`` -- deriving
 #: ``target`` from the source costs ``delta_cost`` more, applying the chain
@@ -58,37 +58,91 @@ MatchInstruction = tuple
 ClosureEntry = Tuple[str, int, Tuple[Rule, ...]]
 
 
-@dataclass(frozen=True)
-class MatchProgram:
-    """A rule pattern compiled to a linear instruction tuple."""
+def leaf_paths(pattern: PatternNode, path: Tuple[int, ...] = ()) -> LeafPaths:
+    """The non-terminal leaves of ``pattern`` with their child-index paths,
+    left to right (a chain rule's single leaf has the empty path)."""
+    if isinstance(pattern, PatNonterm):
+        return ((path, sys.intern(pattern.name)),)
+    return tuple(
+        leaf
+        for index, operand in enumerate(pattern.operands)
+        for leaf in leaf_paths(operand, path + (index,))
+    )
 
-    rule: Rule
-    code: Tuple[MatchInstruction, ...]
-    leaf_count: int
+
+@dataclass
+class NormalForm:
+    """The one-level normal form of a grammar (see :func:`normal_form`)."""
+
+    #: Rows per operator label, in rule-index order.
+    rows_by_op: Dict[str, Tuple[NormalRow, ...]]
+    #: Constant values some pattern hardwires, per operator label.
+    hardwired: Dict[str, FrozenSet[int]]
+    fresh_nonterminals: int
+    dropped_rows: int
 
 
-def linearize_pattern(rule: Rule) -> MatchProgram:
-    """Flatten one non-chain rule pattern into a :class:`MatchProgram`.
-
-    Instructions are emitted in pre-order; the matcher runs them against
-    an explicit node stack, so pattern matching never recurses.
-    """
-    code: List[MatchInstruction] = []
-    leaves = 0
-    stack: List[Tuple[object, Tuple[int, ...]]] = [(rule.pattern, ())]
-    while stack:
-        pattern, path = stack.pop()
-        if isinstance(pattern, PatNonterm):
-            code.append((False, sys.intern(pattern.name), path))
-            leaves += 1
+def normal_form(rules: List[Rule]) -> NormalForm:
+    """The one-level normal form of the non-chain ``rules`` (rule order).
+    Fresh non-terminals are named ``#0``, ``#1``, ... (no grammar
+    non-terminal starts with ``#``)."""
+    rows: Dict[str, List[NormalRow]] = {}
+    fresh: Dict[tuple, str] = {}
+    cheapest: Dict[tuple, int] = {}
+    # Few distinct child tuples recur over thousands of rules: share one
+    # object each.
+    shared: Dict[tuple, tuple] = {}
+    dropped = 0
+    for rule in rules:
+        pattern = rule.pattern
+        children = _child_nonterminals(pattern, rows, fresh, shared)
+        key = (rule.lhs, pattern.name, pattern.value, children)
+        previous = cheapest.get(key)
+        if previous is not None and previous <= rule.cost:
+            dropped += 1
             continue
-        if not isinstance(pattern, PatTerm):
-            raise TypeError("unexpected pattern node %r" % (pattern,))
-        operands = pattern.operands
-        code.append((True, sys.intern(pattern.name), pattern.value, len(operands)))
-        for index in range(len(operands) - 1, -1, -1):
-            stack.append((operands[index], path + (index,)))
-    return MatchProgram(rule=rule, code=tuple(code), leaf_count=leaves)
+        cheapest[key] = rule.cost
+        rows.setdefault(pattern.name, []).append(
+            (sys.intern(rule.lhs), rule.cost, pattern.value, children, rule)
+        )
+    return NormalForm(
+        rows_by_op={
+            sys.intern(label): tuple(label_rows) for label, label_rows in rows.items()
+        },
+        hardwired={
+            label: frozenset(row[2] for row in label_rows if row[2] is not None)
+            for label, label_rows in rows.items()
+        },
+        fresh_nonterminals=len(fresh),
+        dropped_rows=dropped,
+    )
+
+
+def _child_nonterminals(
+    pattern: PatTerm,
+    rows: Dict[str, List[NormalRow]],
+    fresh: Dict[tuple, str],
+    shared: Dict[tuple, tuple],
+) -> Tuple[str, ...]:
+    """The child non-terminals of ``pattern``'s root, giving every interior
+    operand its fresh non-terminal (and row) on first sight.  An operand
+    is keyed on ``(label, value, child non-terminals)``: fresh names
+    already identify the deeper sub-patterns, so one flat key interns a
+    whole subtree."""
+    names = []
+    for operand in pattern.operands:
+        if isinstance(operand, PatNonterm):
+            names.append(sys.intern(operand.name))
+            continue
+        children = _child_nonterminals(operand, rows, fresh, shared)
+        key = (operand.name, operand.value, children)
+        name = fresh.get(key)
+        if name is None:
+            name = fresh[key] = sys.intern("#%d" % len(fresh))
+            rows.setdefault(operand.name, []).append((name, 0, operand.value, children, None))
+        names.append(name)
+    key = tuple(names)
+    return shared.setdefault(key, key)
 
 
 def chain_closure_from(
@@ -168,10 +222,10 @@ class GrammarTables:
     op_names: List[str] = field(default_factory=list)
     nt_ids: Dict[str, int] = field(default_factory=dict)
     nt_names: List[str] = field(default_factory=list)
-    # Linearized match programs, indexed by dense operator id.
-    programs_by_op: List[Tuple[MatchProgram, ...]] = field(default_factory=list)
     # Precomputed chain closure, per source non-terminal.
     chain_closure: Dict[str, Tuple[ClosureEntry, ...]] = field(default_factory=dict)
+    # One-level normal form, read by the library selector.
+    normal_form: Optional[NormalForm] = None
     #: Operator signatures the IR optimizer may introduce on this target
     #: (see :func:`introducible_ops`).
     introducible_ops: FrozenSet[str] = frozenset()
@@ -208,13 +262,9 @@ class GrammarTables:
         for name in sorted(grammar.nonterminals):
             tables.nt_ids[sys.intern(name)] = len(tables.nt_names)
             tables.nt_names.append(name)
-        # Linearized match programs, grouped by root operator id, in rule
-        # index order (which fixes the tie-break: the first matching rule
-        # of equal cost wins).
-        tables.programs_by_op = [
-            tuple(linearize_pattern(rule) for rule in tables.rules_by_root[name])
-            for name in tables.op_names
-        ]
+        tables.normal_form = normal_form(
+            [rule for rule in grammar.rules if isinstance(rule.pattern, PatTerm)]
+        )
         # Full chain closure from every non-terminal that can appear in a
         # node state (any rule lhs) -- precomputing from all lhs symbols
         # keeps the labeller lookup total.
@@ -229,13 +279,6 @@ class GrammarTables:
 
     # -- lookups ---------------------------------------------------------------
 
-    def programs_for(self, label: str) -> Tuple[MatchProgram, ...]:
-        """The linearized match programs rooted at ``label``."""
-        op = self.op_ids.get(label)
-        if op is None:
-            return ()
-        return self.programs_by_op[op]
-
     def closure_from(self, source: str) -> Tuple[ClosureEntry, ...]:
         """The precomputed chain closure of ``source``."""
         return self.chain_closure.get(source, ())
@@ -248,13 +291,10 @@ class GrammarTables:
             "chain_rules": sum(len(r) for r in self.chain_rules_by_source.values()),
             "operators": len(self.op_names),
             "nonterminals": len(self.nt_names),
-            "match_programs": sum(len(p) for p in self.programs_by_op),
-            "program_instructions": sum(
-                len(program.code)
-                for programs in self.programs_by_op
-                for program in programs
-            ),
             "closure_sources": len(self.chain_closure),
             "closure_entries": sum(len(c) for c in self.chain_closure.values()),
+            "normal_form_rows": sum(len(r) for r in self.normal_form.rows_by_op.values()),
+            "fresh_nonterminals": self.normal_form.fresh_nonterminals,
+            "dropped_rows": self.normal_form.dropped_rows,
             "build_time_s": self.build_time_s,
         }

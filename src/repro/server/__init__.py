@@ -9,7 +9,7 @@ network-facing, observable server:
   saturated);
 * :mod:`repro.server.metrics` -- Prometheus-style live metrics
   (compile counters per target, compiles/s, retarget-cache and
-  label-memo hit rates, per-phase latency histograms) aggregated from
+  selector transition-cache hit rates, per-phase latency histograms) aggregated from
   the :class:`~repro.toolchain.results.CompileMetrics` block every
   result already carries.
 

@@ -16,7 +16,8 @@ Exported families (all prefixed ``repro_``):
 * ``repro_compile_<field>_total{target=}`` -- one counter per non-ratio
   ``CompileMetrics`` field, summed per target, with the field's help
   text (a ``*_s`` field becomes ``repro_compile_<stem>_seconds_total``);
-  ``repro_label_memo_hit_rate`` is the node-weighted ratio field;
+  ``repro_label_memo_hit_rate`` is the node-weighted ratio field (the
+  share of labelled nodes whose automaton transition was cached);
 * ``repro_http_requests_total{endpoint=,code=}`` and
   ``repro_http_rejected_total`` (429s);
 * ``repro_request_seconds`` and ``repro_phase_seconds{phase=}``
@@ -154,7 +155,8 @@ class ServerMetrics:
             self.compiles_per_second,
         )
         registry.gauge_callback(
-            "repro_label_memo_hit_rate", "Node-weighted labelling-memo hit rate.",
+            "repro_label_memo_hit_rate",
+            "Node-weighted hit rate of the selector's transition cache.",
             self._label_memo_hit_rate,
         )
 

@@ -32,7 +32,10 @@ from repro.record.retarget import RetargetResult, retarget
 #: 3: GrammarTables grew ``introducible_ops`` (the optimizer's
 #:    operator-introduction signatures, scanned once per grammar).
 #: 4: CodeSelector lost its ``matcher`` attribute (one labelling backend).
-CACHE_FORMAT_VERSION = 4
+#: 5: GrammarTables grew the one-level normal form (``normal_form``) and
+#:    lost ``programs_by_op``; CodeSelector lost ``memo_size`` and its
+#:    structural memo.
+CACHE_FORMAT_VERSION = 5
 
 
 def default_cache_dir() -> str:

@@ -184,7 +184,7 @@ class CompilationState:
     pass_timings: Dict[str, float] = field(default_factory=dict)
     diagnostics: List["Diagnostic"] = field(default_factory=list)
     # Labeller statistics of this run's selection pass (nodes labelled,
-    # memo hits/misses); flows into CompileMetrics.
+    # transition-cache hits/misses); flows into CompileMetrics.
     selection_stats: Dict[str, float] = field(default_factory=dict)
     # Statistics of this run's IR optimization pass (None when the
     # optimizer did not run); flows into CompileMetrics as well.
@@ -324,9 +324,10 @@ class SelectionPass(Pass):
                     terminator_code=terminator_code,
                 )
                 state.block_codes.append(block_code)
-        # Per-run deltas of the (possibly shared) selector's counters;
-        # approximate under concurrent compiles against one pooled session,
-        # exact otherwise.
+        # Per-run deltas of the (possibly shared) selector's counters:
+        # nodes labelled and transition-cache hits/misses.  Approximate
+        # under concurrent compiles against one pooled session, exact
+        # otherwise.
         hits = selector.memo_hits - hits_before
         misses = selector.memo_misses - misses_before
         lookups = hits + misses

@@ -72,8 +72,10 @@ class CompileMetrics:
     selection_cost: int = _metric("cost", "Summed cost of the selected covers.")
     statement_count: int = _metric("statements", "Source statements covered.")
     compile_time_s: float = _metric("s", "Compile wall time, the sum of the pass timings.")
-    nodes_labelled: int = _metric("nodes", "Node states the labeller materialized.", 0)
-    label_memo_hit_rate: float = _metric("ratio", "Share of node states from the memo.", 0.0)
+    nodes_labelled: int = _metric("nodes", "Subject nodes the labeller labelled.", 0)
+    label_memo_hit_rate: float = _metric(
+        "ratio", "Share of labelled nodes whose transition was cached.", 0.0
+    )
     opt_nodes_before: int = _metric("nodes", "IR nodes entering the optimizer.", 0)
     opt_nodes_after: int = _metric("nodes", "IR nodes leaving the optimizer.", 0)
     opt_folds: int = _metric("rewrites", "Constant folds and algebraic rewrites.", 0)
@@ -340,8 +342,18 @@ class CompilationResult:
         environment: Optional[Dict[str, int]] = None,
         max_steps: Optional[int] = None,
     ) -> Dict[str, int]:
-        """The final environment after simulating the generated code."""
-        return self.simulation_trace(environment, max_steps=max_steps).final_environment
+        """The final environment after simulating the generated code (the
+        trace's ``final_environment``, without recording the steps)."""
+        self._require_artifacts("statement codes (needed for simulation)")
+        from repro.ir.program import DEFAULT_STEP_LIMIT
+        from repro.sim.rtsim import simulate_block_codes
+
+        return simulate_block_codes(
+            list(self.block_codes),
+            environment or {},
+            entry=self.program.entry_block_name() if self.program else None,
+            max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
+        )
 
     # -- serialization ------------------------------------------------------------
 

@@ -146,7 +146,6 @@ class TestTables:
         assert len(tables.rules_by_root["add"]) == 2
         assert len(tables.rules_by_root["ASSIGN"]) == 2
         assert "unknown" not in tables.rules_by_root
-        assert tables.programs_for("unknown") == ()
 
     def test_chain_rules_by_source(self):
         grammar = _toy_grammar()

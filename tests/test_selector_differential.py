@@ -1,18 +1,19 @@
 """Differential and performance-semantics tests for the BURS matcher.
 
-The library selector (linearized match programs, precomputed chain
-closure, structural labelling memo) must produce exactly the covers of
+The library selector (an on-demand automaton over the one-level normal
+form, with a transition cache) must produce exactly the covers of
 the emitted selector module (``RetargetResult.matcher_module``, the
 generated parser) on every built-in target and every DSPStone kernel --
 identical costs *and* identical rule index sequences -- and its per-node
 costs must equal the seed's fixpoint labeller, reimplemented here from
-the grammar alone.  On top of that, this module pins down the memoization
-semantics (node_cost reuse, boundedness, cross-statement sharing) and the
+the grammar alone.  On top of that, this module pins down the transition
+cache semantics (hits across trees, boundedness, pickling, threads) and the
 explicit-stack walks (deep ~5k-node chain expressions compile without
 ``RecursionError``).
 """
 
 import pickle
+import threading
 
 import pytest
 
@@ -84,7 +85,7 @@ class TestDifferentialCovers:
         assert compared > 0, "no kernel statement was comparable on %s" % target
 
     def test_memoized_relabelling_is_still_identical(self, tms_result):
-        """A second pass over the same workload (memo fully warm) must not
+        """A second pass over the same workload (cache fully warm) must not
         change any cover."""
         selector = CodeSelector(tms_result.grammar, tables=tms_result.selector.tables)
         subjects = _statement_subjects(tms_result, "fir")
@@ -101,40 +102,55 @@ class TestDifferentialCovers:
 
 
 class TestLabellingMemo:
-    def test_node_cost_reuses_cached_states(self, demo_result):
-        selector = CodeSelector(demo_result.grammar, tables=demo_result.selector.tables)
-        root = SubjectNode(
+    """The transition cache of the on-demand automaton: transitions are
+    keyed on (label, hardwired constant, child states), so only a new
+    combination of child states computes anything."""
+
+    @staticmethod
+    def _assign_add(right):
+        return SubjectNode(
             "ASSIGN",
-            [
-                SubjectNode("DMEM"),
-                SubjectNode("add", [SubjectNode("ACC"), SubjectNode("DMEM")]),
-            ],
+            [SubjectNode("DMEM"), SubjectNode("add", [SubjectNode("ACC"), right])],
         )
+
+    def test_repeated_tree_adds_no_misses(self, demo_result):
+        selector = CodeSelector(demo_result.grammar, tables=demo_result.selector.tables)
+        root = self._assign_add(SubjectNode("DMEM"))
         first = selector.node_cost(root)
         misses_after_first = selector.memo_misses
+        hits_after_first = selector.memo_hits
         assert misses_after_first > 0
-        second = selector.node_cost(root)
-        assert second == first
-        # The second call recomputed nothing: every state came from the
-        # per-node cache (same tree object), none were re-labelled.
+        # The same tree object, then a fresh copy of it.
+        assert selector.node_cost(root) == first
+        assert selector.node_cost(self._assign_add(SubjectNode("DMEM"))) == first
         assert selector.memo_misses == misses_after_first
-        assert selector.node_cache_hits >= 1
-        # A structurally identical but fresh tree hits the structural memo.
-        fresh = SubjectNode(
-            "ASSIGN",
-            [
-                SubjectNode("DMEM"),
-                SubjectNode("add", [SubjectNode("ACC"), SubjectNode("DMEM")]),
-            ],
-        )
-        assert selector.node_cost(fresh) == first
-        assert selector.memo_misses == misses_after_first
-        assert selector.memo_hits >= 1
+        assert selector.memo_hits == hits_after_first + 2 * root.size()
+        assert selector.nodes_labelled == 3 * root.size()
         assert selector.stats()["memo_hit_rate"] > 0.0
 
+    def test_different_subtree_with_equal_child_states_hits(self, demo_result):
+        """Subtrees that differ in structure (here: constant values no
+        pattern hardwires) but whose children reach the same states share
+        every transition -- the case a structural memo cannot hit."""
+        tables = demo_result.selector.tables
+        selector = CodeSelector(demo_result.grammar, tables=tables)
+        free = [v for v in range(100, 200) if v not in tables.normal_form.hardwired.get("Const", ())]
+
+        def make(value):
+            return self._assign_add(
+                SubjectNode("add", [SubjectNode("DMEM"), SubjectNode("Const", const_value=value)])
+            )
+
+        first = selector.select(make(free[0]))
+        misses = selector.memo_misses
+        second = selector.select(make(free[1]))
+        assert selector.memo_misses == misses
+        assert second.cost == first.cost
+        assert second.rule_indices() == first.rule_indices()
+
     def test_structurally_identical_trees_share_states(self, demo_result):
-        """Distinct node objects with identical structure hit the memo even
-        when their payloads differ."""
+        """Distinct node objects with identical structure hit the cache
+        even when their payloads differ."""
         selector = CodeSelector(demo_result.grammar, tables=demo_result.selector.tables)
 
         def make(payload):
@@ -158,8 +174,7 @@ class TestLabellingMemo:
 
     def test_label_returns_states_for_every_node(self, demo_result):
         """The public label() contract: all nodes get a state, even when
-        subtrees repeat within one tree; on a fully memoized tree label()
-        computes no new state."""
+        subtrees repeat within one tree; a warm cache computes nothing."""
         selector = CodeSelector(demo_result.grammar, tables=demo_result.selector.tables)
 
         def make():
@@ -179,8 +194,6 @@ class TestLabellingMemo:
 
         cold = make()
         misses = hits = None
-        # Cold memo, then a fresh tree against the warm memo, then the
-        # same tree again through the per-node cache.
         for root in (cold, make(), cold):
             states = selector.label(root)
             nodes = root.post_order()
@@ -190,62 +203,75 @@ class TestLabellingMemo:
             if misses is None:
                 misses, hits = selector.memo_misses, selector.memo_hits
             assert selector.memo_misses == misses
-        # Every node of the fresh tree was a structural memo hit; the
-        # relabelled tree reused its per-node states.
-        assert selector.memo_hits == hits + len(nodes)
-        assert selector.node_cache_hits >= len(nodes)
+        assert selector.memo_hits == hits + 2 * len(nodes)
 
-    def test_memo_disabled_reports_no_memo_traffic(self, demo_result):
-        selector = CodeSelector(
-            demo_result.grammar, tables=demo_result.selector.tables, memo_size=0
-        )
-        root = SubjectNode(
-            "ASSIGN", [SubjectNode("DMEM"), SubjectNode("Const", const_value=9)]
-        )
-        selector.label(root)
-        stats = selector.stats()
-        assert stats["memo_hits"] == 0
-        assert stats["memo_misses"] == 0
-        assert stats["nodes_labelled"] == 3
-
-    def test_memo_is_bounded(self, demo_result):
-        selector = CodeSelector(
-            demo_result.grammar, tables=demo_result.selector.tables, memo_size=4
-        )
-        for value in range(32):
-            selector.node_cost(
-                SubjectNode(
-                    "ASSIGN",
-                    [SubjectNode("DMEM"), SubjectNode("Const", const_value=value)],
+    def test_non_hardwired_constants_add_no_transitions(self, demo_result):
+        """10,000 distinct constants no pattern hardwires share one
+        transition per tree position: the cache stays bounded by states,
+        not by input values."""
+        tables = demo_result.selector.tables
+        selector = CodeSelector(demo_result.grammar, tables=tables)
+        hardwired = tables.normal_form.hardwired.get("Const", frozenset())
+        values = [v for v in range(10_000 + len(hardwired)) if v not in hardwired][:10_000]
+        costs = set()
+        transitions = None
+        for value in values:
+            costs.add(
+                selector.node_cost(
+                    self._assign_add(SubjectNode("Const", const_value=value))
                 )
             )
-        assert len(selector._memo) <= 4
+            if transitions is None:
+                transitions = selector.stats()["transitions"]
+        assert selector.stats()["transitions"] == transitions
+        assert len(costs) == 1 and None not in costs
 
-    def test_memo_can_be_disabled(self, demo_result):
-        selector = CodeSelector(
-            demo_result.grammar, tables=demo_result.selector.tables, memo_size=0
-        )
-        root = SubjectNode(
-            "ASSIGN", [SubjectNode("DMEM"), SubjectNode("Const", const_value=7)]
-        )
-        assert selector.node_cost(root) == selector.node_cost(root)
-        assert selector.memo_hits == 0
-        assert len(selector._memo) == 0
-
-    def test_selector_pickles_without_memo(self, demo_result):
-        selector = demo_result.selector
-        root = SubjectNode(
-            "ASSIGN", [SubjectNode("DMEM"), SubjectNode("Const", const_value=3)]
-        )
+    def test_selector_pickles_with_empty_cache(self, demo_result):
+        selector = CodeSelector(demo_result.grammar, tables=demo_result.selector.tables)
+        root = self._assign_add(SubjectNode("Const", const_value=3))
         cost = selector.node_cost(root)
+        assert cost is not None
+        assert selector.stats()["transitions"] > 0
         clone = pickle.loads(pickle.dumps(selector))
-        assert len(clone._memo) == 0
-        assert clone.memo_size == selector.memo_size
+        assert clone.stats()["transitions"] == 0
+        assert clone.stats()["states"] == 0
         assert clone.node_cost(root) == cost
+        assert clone.select(root).rule_indices() == selector.select(root).rule_indices()
+
+    def test_threads_sharing_one_selector_get_identical_covers(self, ref_result):
+        """Pooled sessions share one selector between service threads:
+        concurrent misses on a cold cache must not change any cover."""
+        subjects = []
+        for kernel in all_kernel_names():
+            subjects += _statement_subjects(ref_result, kernel) or []
+        assert subjects
+        reference = CodeSelector(ref_result.grammar, tables=ref_result.selector.tables)
+        expected = [
+            (result.cost, result.rule_indices())
+            for result in (reference.select(subject) for subject in subjects)
+        ]
+        shared = CodeSelector(ref_result.grammar, tables=ref_result.selector.tables)
+        barrier = threading.Barrier(4)
+        covers = {}
+
+        def work(worker):
+            barrier.wait()
+            covers[worker] = [
+                (result.cost, result.rule_indices())
+                for result in (shared.select(subject) for subject in subjects)
+            ]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert [covers[i] for i in range(4)] == [expected] * 4
+        assert shared.stats()["transitions"] == reference.stats()["transitions"]
 
     def test_sessions_share_selector_tables(self, tms_result):
         """Sessions (and therefore pooled service workers) built on one
-        retarget result share one read-only table object and one memo."""
+        retarget result share one read-only table object and one cache."""
         full = Session(tms_result)
         unscheduled = Session(
             tms_result, config=PipelineConfig(use_scheduling=False)
@@ -333,7 +359,7 @@ class TestClosureOracle:
     """The precomputed closure and the table-driven states checked against
     oracles that share no code with GrammarTables (guards against a bug in
     the tables fooling the library-vs-emitted differential, whose two
-    selectors read the same match programs and closure)."""
+    selectors read the same closure)."""
 
     @pytest.mark.parametrize("target", sorted(all_target_names()))
     def test_closure_deltas_match_bellman_ford(self, target, retarget_results):

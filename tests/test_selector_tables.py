@@ -3,8 +3,9 @@
 import pickle
 
 from repro.grammar.grammar import PatNonterm, PatTerm, RuleKind, TreeGrammar
-from repro.selector import GrammarTables, StructurePool, chain_closure_from
-from repro.selector.tables import introducible_ops
+from repro.selector import GrammarTables, chain_closure_from
+from repro.selector.emit import compile_matcher_module, linearize_pattern
+from repro.selector.tables import introducible_ops, leaf_paths
 
 
 def _toy_grammar():
@@ -48,31 +49,27 @@ class TestInterning:
 
 
 class TestMatchPrograms:
-    def test_programs_grouped_by_root_in_rule_order(self):
-        tables = GrammarTables.build(_toy_grammar())
-        add_programs = tables.programs_for("add")
-        assert len(add_programs) == 2
-        assert [p.rule.index for p in add_programs] == [1, 2]
-        assert tables.programs_for("unknown") == ()
+    """The emitted selector's linearized match programs."""
 
-    def test_linearization_is_preorder_with_paths(self):
-        tables = GrammarTables.build(_toy_grammar())
+    def test_programs_grouped_by_root_in_rule_order(self):
+        programs = compile_matcher_module(_toy_grammar()).PROGRAMS
+        assert list(programs) == ["ASSIGN", "add", "Const", "MEM"]
+        assert [index for index, _code in programs["add"]] == [1, 2]
+        assert "unknown" not in programs
+
+    def test_linearization_is_preorder(self):
         # The chained rule: add(nt_ACC, mul(nt_ACC, nt_MEM))
-        program = tables.programs_for("add")[1]
-        kinds = [instr[0] for instr in program.code]
-        assert kinds == [True, False, True, False, False]
-        term_add, leaf_a, term_mul, leaf_b, leaf_c = program.code
-        assert term_add[1] == "add" and term_add[3] == 2
-        assert term_mul[1] == "mul" and term_mul[3] == 2
-        assert (leaf_a[1], leaf_a[2]) == ("nt_ACC", (0,))
-        assert (leaf_b[1], leaf_b[2]) == ("nt_ACC", (1, 0))
-        assert (leaf_c[1], leaf_c[2]) == ("nt_MEM", (1, 1))
-        assert program.leaf_count == 3
+        assert linearize_pattern(_toy_grammar().rules[2].pattern) == (
+            (True, "add", None, 2),
+            (0, "nt_ACC"),
+            (True, "mul", None, 2),
+            (0, "nt_ACC"),
+            (0, "nt_MEM"),
+        )
 
     def test_hardwired_constant_value_is_encoded(self):
-        tables = GrammarTables.build(_toy_grammar())
-        const_program = tables.programs_for("Const")[0]
-        assert const_program.code[0] == (True, "Const", 0, 0)
+        programs = compile_matcher_module(_toy_grammar()).PROGRAMS
+        assert programs["Const"] == ((5, ((True, "Const", 0, 0),)),)
 
 
 class TestChainClosure:
@@ -128,33 +125,77 @@ class TestBuildMetadata:
         tables = GrammarTables.build(_toy_grammar())
         assert tables.build_time_s > 0.0
 
-    def test_stats_cover_programs_and_closure(self):
+    def test_stats_cover_normal_form_and_closure(self):
         tables = GrammarTables.build(_toy_grammar())
         stats = tables.stats()
-        assert stats["match_programs"] == stats["indexed_rules"] == 5
+        assert stats["indexed_rules"] == 5
+        # Five rule rows plus the fresh rows of MEM (in ASSIGN) and mul.
+        assert stats["normal_form_rows"] == 7
+        assert stats["fresh_nonterminals"] == 2
+        assert stats["dropped_rows"] == 0
         assert stats["chain_rules"] == 2
         assert stats["closure_sources"] >= 2
-        assert stats["program_instructions"] >= stats["match_programs"]
-
-    def test_structure_pool_is_bounded_with_unique_tokens(self):
-        pool = StructurePool(max_entries=2)
-        a = pool.id_of(("A", None, ()))
-        b = pool.id_of(("B", None, ()))
-        c = pool.id_of(("C", None, ()))  # overflow: clears, next generation
-        assert pool.generation == 1
-        assert len(pool) == 1
-        # Tokens are never reissued for a different structure, so equal
-        # ids always mean equal structure (the memo invariant).
-        assert len({a, b, c}) == 3
-        a_again = pool.id_of(("A", None, ()))
-        assert a_again not in (b, c)
 
     def test_tables_pickle_roundtrip(self):
         tables = GrammarTables.build(_toy_grammar())
         clone = pickle.loads(pickle.dumps(tables))
         assert clone.op_names == tables.op_names
         assert clone.stats() == tables.stats()
-        assert [p.rule.index for p in clone.programs_for("add")] == [1, 2]
+        assert [rule.index for rule in clone.rules_by_root["add"]] == [1, 2]
+        assert clone.normal_form == tables.normal_form
+
+
+class TestNormalForm:
+    def test_interior_subpattern_becomes_fresh_nonterminal(self):
+        tables = GrammarTables.build(_toy_grammar())
+        add_rows = tables.normal_form.rows_by_op["add"]
+        assert [(lhs, cost, children, rule.index) for lhs, cost, _v, children, rule in add_rows] == [
+            ("nt_ACC", 1, ("nt_ACC", "nt_MEM"), 1),
+            ("nt_ACC", 1, ("nt_ACC", "#1"), 2),
+        ]
+        # add(nt_ACC, mul(nt_ACC, nt_MEM)): mul(...) is one zero-cost row.
+        assert tables.normal_form.rows_by_op["mul"] == (("#1", 0, None, ("nt_ACC", "nt_MEM"), None),)
+        # ASSIGN(MEM, nt_MEM): the bare MEM leaf is a fresh non-terminal too.
+        assert tables.normal_form.rows_by_op["MEM"][0] == ("#0", 0, None, (), None)
+        assert tables.normal_form.fresh_nonterminals == 2
+
+    def test_shared_subpatterns_intern_to_one_nonterminal(self):
+        grammar = _toy_grammar()
+        grammar.add_rule(
+            "nt_MEM",
+            PatTerm("sub", (PatNonterm("nt_ACC"), PatTerm("mul", (PatNonterm("nt_ACC"), PatNonterm("nt_MEM"))))),
+            2,
+            RuleKind.RT,
+        )
+        tables = GrammarTables.build(grammar)
+        assert len(tables.normal_form.rows_by_op["mul"]) == 1
+        assert tables.normal_form.rows_by_op["sub"][0][3] == ("nt_ACC", "#1")
+
+    def test_dominated_duplicates_are_dropped(self):
+        grammar = _toy_grammar()
+        pattern = PatTerm("add", (PatNonterm("nt_ACC"), PatNonterm("nt_MEM")))
+        grammar.add_rule("nt_ACC", pattern, 1, RuleKind.RT)  # same cost: dropped
+        grammar.add_rule("nt_ACC", pattern, 5, RuleKind.RT)  # dearer: dropped
+        grammar.add_rule("nt_MEM", pattern, 1, RuleKind.RT)  # other lhs: kept
+        grammar.add_rule("nt_ACC", pattern, 0, RuleKind.RT)  # cheaper: kept
+        tables = GrammarTables.build(grammar)
+        assert tables.normal_form.dropped_rows == 2
+        assert [row[4].index for row in tables.normal_form.rows_by_op["add"]] == [1, 2, 9, 10]
+        # Rule indices and the rule indexes (which the emitted selector
+        # reads) keep all rules.
+        assert [rule.index for rule in tables.rules_by_root["add"]] == [1, 2, 7, 8, 9, 10]
+
+    def test_hardwired_values_and_leaf_paths(self):
+        tables = GrammarTables.build(_toy_grammar())
+        assert tables.normal_form.hardwired["Const"] == frozenset({0})
+        assert tables.normal_form.hardwired["add"] == frozenset()
+        assert tables.normal_form.rows_by_op["Const"] == (("nt_ACC", 0, 0, (), tables.grammar.rules[5]),)
+        rules = tables.grammar.rules
+        assert leaf_paths(rules[2].pattern) == (
+            ((0,), "nt_ACC"), ((1, 0), "nt_ACC"), ((1, 1), "nt_MEM")
+        )
+        assert leaf_paths(rules[3].pattern) == (((), "nt_MEM"),)  # chain rule
+        assert leaf_paths(rules[6].pattern) == ()
 
 
 class TestIntroducibleOps:

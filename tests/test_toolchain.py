@@ -309,24 +309,28 @@ class TestRetargetCache:
         no_expansion = ExpansionOptions(use_commutativity=False, use_rewrite_rules=False)
         assert retarget_fingerprint(demo_hdl, expansion=no_expansion) != base
 
-    @pytest.mark.parametrize("old_format", [2, 3])
+    @pytest.mark.parametrize("old_format", [2, 3, 4])
     def test_older_format_entry_is_a_clean_miss(
         self, tmp_path, demo_hdl, monkeypatch, old_format
     ):
         # Format 2 pickled GrammarTables without ``introducible_ops``;
         # loading one would silently read the empty class default and
         # stop shift strength reduction.  Format 3 pickled CodeSelector
-        # with its since-deleted ``matcher`` attribute.  Format 4 must
-        # never see either.
+        # with its since-deleted ``matcher`` attribute.  Format 4 pickled
+        # GrammarTables without the normal form the labeller runs on, and
+        # CodeSelector with its since-deleted ``memo_size``.  Format 5
+        # must never see any of them.
         import repro.toolchain.cache as cache_module
 
-        assert cache_module.CACHE_FORMAT_VERSION == 4
+        assert cache_module.CACHE_FORMAT_VERSION == 5
         monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", old_format)
         writer = RetargetCache(directory=tmp_path)
         old_result, _hit = writer.get_or_retarget(demo_hdl, generate_matcher=False)
         if old_format == 2:
             del old_result.selector.tables.introducible_ops
         old_result.selector.matcher = "tables"
+        del old_result.selector.tables.normal_form
+        old_result.selector.memo_size = 8192
         writer.put(retarget_fingerprint(demo_hdl), old_result)
         monkeypatch.undo()
 
@@ -334,8 +338,10 @@ class TestRetargetCache:
         result, hit = reader.get_or_retarget(demo_hdl, generate_matcher=False)
         assert not hit and reader.misses == 1
         assert "introducible_ops" in vars(result.selector.tables)
+        assert "normal_form" in vars(result.selector.tables)
         assert "matcher" not in vars(result.selector)
-        assert reader.stats()["disk_entries"] == 2  # old left alone, v4 added
+        assert "memo_size" not in vars(result.selector)
+        assert reader.stats()["disk_entries"] == 2  # old left alone, v5 added
 
     def test_matcher_regenerated_on_hit(self, tmp_path, demo_hdl):
         writer = RetargetCache(directory=tmp_path)
