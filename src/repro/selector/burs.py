@@ -153,33 +153,34 @@ class CodeSelector:
     def __init__(self, grammar: TreeGrammar, tables: Optional[GrammarTables] = None):
         self.grammar = grammar
         self.tables = tables if tables is not None else GrammarTables.build(grammar)
-        self.nodes_labelled = 0
-        self.memo_misses = 0
         self._init_cache()
+
+    _RUNTIME = (
+        "_transitions", "_states", "_lock", "nodes_labelled", "memo_hits", "memo_misses"
+    )
 
     def _init_cache(self) -> None:
         # (label, hardwired value or None, *child states) -> transition.
         self._transitions: Dict[tuple, _Transition] = {}
         self._states: Dict[frozenset, _State] = {}
         self._lock = threading.Lock()
+        # Lifetime counters; memo_hits + memo_misses == nodes_labelled.
+        self.nodes_labelled = 0
+        self.memo_hits = 0
+        self.memo_misses = 0
 
-    # The automaton is process-local runtime state; a selector pickled
-    # through the retarget cache comes back with an empty one.
+    # The automaton and its counters are process-local runtime state; a
+    # selector pickled through the retarget cache comes back without them.
     def __getstate__(self):
         return {
             key: value
             for key, value in self.__dict__.items()
-            if key not in ("_transitions", "_states", "_lock")
+            if key not in self._RUNTIME
         }
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._init_cache()
-
-    @property
-    def memo_hits(self) -> int:
-        """Nodes whose transition was already cached."""
-        return self.nodes_labelled - self.memo_misses
 
     # -- public API -----------------------------------------------------------
 
@@ -252,6 +253,7 @@ class CodeSelector:
         hardwired = self.tables.normal_form.hardwired
         states: Dict[int, _Transition] = {}
         offset = 0
+        misses = 0
         # Reversed pre-order: every node comes after all of its descendants.
         for node in reversed(order):
             value = node.const_value
@@ -273,18 +275,25 @@ class CodeSelector:
                 )
             transition = transitions.get(key)
             if transition is None:
-                transition = self._transition(key)
+                transition, computed = self._transition(key)
+                misses += computed
             states[id(node)] = transition
             offset += transition[1]
-        self.nodes_labelled += len(order)
+        # The three counters move together, so a concurrent reader's
+        # per-run deltas are each >= 0 and hits + misses == nodes.
+        with self._lock:
+            self.nodes_labelled += len(order)
+            self.memo_hits += len(order) - misses
+            self.memo_misses += misses
         return order, states, offset
 
-    def _transition(self, key: tuple) -> _Transition:
-        """Compute, intern and cache the transition on ``key``."""
+    def _transition(self, key: tuple) -> Tuple[_Transition, bool]:
+        """The transition on ``key`` and whether this call computed it
+        (another thread may have cached it since the lock-free lookup)."""
         with self._lock:
             transition = self._transitions.get(key)
             if transition is not None:
-                return transition
+                return transition, False
             label, value = key[0], key[1]
             children: Tuple[_State, ...] = key[2:]
             rows = self.tables.normal_form.rows_by_op.get(label, ())
@@ -317,8 +326,7 @@ class CodeSelector:
             minimum = min((cost for cost, _rule in entries.values()), default=0)
             transition = (self._intern(entries, minimum), minimum)
             self._transitions[key] = transition
-            self.memo_misses += 1
-            return transition
+            return transition, True
 
     def _intern(
         self, entries: Dict[str, Tuple[int, Optional[Rule]]], minimum: int

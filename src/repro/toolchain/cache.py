@@ -34,7 +34,7 @@ from repro.record.retarget import RetargetResult, retarget
 #: 4: CodeSelector lost its ``matcher`` attribute (one labelling backend).
 #: 5: GrammarTables grew the one-level normal form (``normal_form``) and
 #:    lost ``programs_by_op``; CodeSelector lost ``memo_size`` and its
-#:    structural memo.
+#:    structural memo, and pickles neither its automaton nor its counters.
 CACHE_FORMAT_VERSION = 5
 
 

@@ -325,9 +325,9 @@ class SelectionPass(Pass):
                 )
                 state.block_codes.append(block_code)
         # Per-run deltas of the (possibly shared) selector's counters:
-        # nodes labelled and transition-cache hits/misses.  Approximate
-        # under concurrent compiles against one pooled session, exact
-        # otherwise.
+        # nodes labelled and transition-cache hits/misses.  Concurrent
+        # compiles against one pooled session mix into each other's
+        # deltas; each delta stays >= 0 and the rate within [0, 1].
         hits = selector.memo_hits - hits_before
         misses = selector.memo_misses - misses_before
         lookups = hits + misses

@@ -316,6 +316,18 @@ class CompilationResult:
             % (name, ", ".join(self.VIEWS))
         )
 
+    def _simulate_with(self, run, environment, max_steps):
+        """Call the simulator entry point ``run`` on the block codes."""
+        self._require_artifacts("statement codes (needed for simulation)")
+        from repro.ir.program import DEFAULT_STEP_LIMIT
+
+        return run(
+            list(self.block_codes),
+            environment or {},
+            entry=self.program.entry_block_name() if self.program else None,
+            max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
+        )
+
     def simulation_trace(
         self,
         environment: Optional[Dict[str, int]] = None,
@@ -326,16 +338,9 @@ class CompilationResult:
         statement: operations + environment snapshot; loop bodies appear
         once per iteration).  Live results only.  Execution starts at the
         entry block; ``max_steps`` bounds it (default: the IR step limit)."""
-        self._require_artifacts("statement codes (needed for simulation)")
-        from repro.ir.program import DEFAULT_STEP_LIMIT
         from repro.sim.rtsim import trace_cfg_execution
 
-        return trace_cfg_execution(
-            list(self.block_codes),
-            environment or {},
-            entry=self.program.entry_block_name() if self.program else None,
-            max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
-        )
+        return self._simulate_with(trace_cfg_execution, environment, max_steps)
 
     def simulate(
         self,
@@ -344,16 +349,9 @@ class CompilationResult:
     ) -> Dict[str, int]:
         """The final environment after simulating the generated code (the
         trace's ``final_environment``, without recording the steps)."""
-        self._require_artifacts("statement codes (needed for simulation)")
-        from repro.ir.program import DEFAULT_STEP_LIMIT
         from repro.sim.rtsim import simulate_block_codes
 
-        return simulate_block_codes(
-            list(self.block_codes),
-            environment or {},
-            entry=self.program.entry_block_name() if self.program else None,
-            max_steps=max_steps if max_steps is not None else DEFAULT_STEP_LIMIT,
-        )
+        return self._simulate_with(simulate_block_codes, environment, max_steps)
 
     # -- serialization ------------------------------------------------------------
 

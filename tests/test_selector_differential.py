@@ -268,6 +268,91 @@ class TestLabellingMemo:
             thread.join()
         assert [covers[i] for i in range(4)] == [expected] * 4
         assert shared.stats()["transitions"] == reference.stats()["transitions"]
+        stats = shared.stats()
+        assert stats["memo_hits"] + stats["memo_misses"] == stats["nodes_labelled"]
+
+    def test_counter_deltas_stay_consistent_across_a_concurrent_miss(self, ref_result):
+        """A reader that snapshots the counters while another thread is
+        midway through labelling a tree (one transition computed, the tree
+        not finished) sees hit, miss and node deltas that are each >= 0
+        and add up: a tree's counts land together when it is done."""
+        selector = CodeSelector(ref_result.grammar, tables=ref_result.selector.tables)
+        subject = _statement_subjects(ref_result, "fir")[0]
+        compute = selector._transition
+        entered, go, computed, finish = (threading.Event() for _ in range(4))
+        worker = []
+
+        def paused_transition(key):
+            if threading.current_thread() not in worker or computed.is_set():
+                return compute(key)
+            entered.set()
+            go.wait(10)
+            transition = compute(key)
+            computed.set()
+            finish.wait(10)
+            return transition
+
+        def counters():
+            return selector.memo_hits, selector.memo_misses, selector.nodes_labelled
+
+        selector._transition = paused_transition
+        thread = threading.Thread(target=selector.select, args=(subject,))
+        worker.append(thread)
+        thread.start()
+        assert entered.wait(10)
+        before = counters()
+        go.set()
+        assert computed.wait(10)
+        after = counters()
+        finish.set()
+        thread.join()
+        hits, misses, nodes = (a - b for a, b in zip(after, before))
+        assert hits >= 0 and misses >= 0 and hits + misses == nodes
+        assert selector.nodes_labelled == subject.size()
+        assert selector.memo_hits + selector.memo_misses == subject.size()
+
+    def test_concurrent_compiles_on_one_cold_pooled_session(self, ref_result):
+        """Concurrent compiles against one pooled session on a cold cache
+        read each other's counter updates; every compile's metrics must
+        still build (hit and miss deltas >= 0, the rate within [0, 1])."""
+        sources = [generate_source(seed, LOOP_HEAVY_CONFIG) for seed in range(6)]
+
+        def compile_all(session):
+            outcomes = []
+            for index, source in enumerate(sources):
+                try:
+                    result = session.compile(source, name="loops%d" % index)
+                except BindingError as error:
+                    outcomes.append(("refused", str(error)))
+                    continue
+                assert 0.0 <= result.metrics.label_memo_hit_rate <= 1.0
+                outcomes.append(result.listing())
+            return outcomes
+
+        # Pickling drops the selector's transition cache: both sessions
+        # start cold.
+        expected = compile_all(Session(pickle.loads(pickle.dumps(ref_result))))
+        pooled = Session(pickle.loads(pickle.dumps(ref_result)))
+        assert pooled.selector.stats()["transitions"] == 0
+        barrier = threading.Barrier(4)
+        outcomes, errors = {}, []
+
+        def work(worker):
+            barrier.wait()
+            try:
+                outcomes[worker] = compile_all(pooled)
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert [outcomes[i] for i in range(4)] == [expected] * 4
+        stats = pooled.selector.stats()
+        assert stats["memo_hits"] + stats["memo_misses"] == stats["nodes_labelled"]
 
     def test_sessions_share_selector_tables(self, tms_result):
         """Sessions (and therefore pooled service workers) built on one
